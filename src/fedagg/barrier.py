@@ -38,6 +38,20 @@ class ConstraintSet:
         raise NotImplementedError
 
 
+def interior_start(values, x_hat, x_min):
+    """A strictly interior point near an expansion point x_hat.
+
+    Scales x_hat up until every constraint value is negative. MM surrogates
+    share the exact rate gradient at x_hat, which is strictly negative in
+    every coordinate, so scaling up moves strictly into the interior.
+    """
+    for bump in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0, 7.0, 15.0):
+        cand = x_hat * (1.0 + bump)
+        if np.all(values(cand) < 0) and np.all(cand > x_min):
+            return cand
+    raise SolverError("could not find a strictly interior start", last_iterate=x_hat)
+
+
 def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0, newton_tol=1e-10):
     """Barrier minimization of f'x over {g(x) <= 0, x >= x_min}.
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import ConstraintSet, minimize_linear
+from .barrier import ConstraintSet, interior_start, minimize_linear
 from .errors import SolverError
 from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
-from .region import LOG2E, distortion, is_feasible, mask_to_indices
+from .region import LOG2E, all_subsets, distortion, is_feasible
 
 HALF_LOG2E = 0.5 * LOG2E
 
@@ -31,20 +31,46 @@ def quad_form_lower_bound(a, b, B) -> float:
     return float(2.0 * a @ b - b @ B @ b)
 
 
-def expansion_matrices(model: GaussianSourceModel, q_hat, S):
-    """Tangency matrices (E_S, F_S) for a proper subset, or G for the full set."""
-    qv = q_hat.q if isinstance(q_hat, MbtcParams) else np.asarray(q_hat, dtype=float)
-    M = model.M
-    sigma = model.sigma_x
-    idx = np.array(sorted(int(m) for m in S), dtype=int)
-    if idx.size == M:
-        return sigma + np.diag(qv)
-    comp = np.setdiff1d(np.arange(M), idx)
+def _expansion(sigma: np.ndarray, qv: np.ndarray, idx: np.ndarray, comp: np.ndarray):
+    """(E_S, F_S) at qv. An empty complement gives E of width 0 and F = G."""
     cross = sigma[np.ix_(idx, comp)]
     comp_block = sigma[np.ix_(comp, comp)] + np.diag(qv[comp])
     E = np.linalg.solve(comp_block, cross.T).T
     F = sigma[np.ix_(idx, idx)] + np.diag(qv[idx]) - E @ cross.T
     return E, F
+
+
+def expansion_matrices(model: GaussianSourceModel, q_hat, S):
+    """Tangency matrices (E_S, F_S) for a proper subset, or G for the full set."""
+    qv = q_hat.q if isinstance(q_hat, MbtcParams) else np.asarray(q_hat, dtype=float)
+    idx = np.array(sorted(int(m) for m in S), dtype=int)
+    comp = np.setdiff1d(np.arange(model.M), idx)
+    E, F = _expansion(model.sigma_x, qv, idx, comp)
+    return (E, F) if comp.size else F
+
+
+def _tangent_row(sigma: np.ndarray, idx: np.ndarray, comp: np.ndarray, E, F):
+    """Weights w and constant k of the majorant chi_S + xi_S of the subset
+    mutual information, w . q - 0.5 * sum_{m in S} log2(q_m) + k, tight where
+    (E, F) were formed. The full set is the subset with an empty complement.
+    """
+    f_inv = np.linalg.inv(F)
+    w = np.zeros(sigma.shape[0])
+    w[idx] = HALF_LOG2E * np.diag(f_inv)
+    w[comp] = HALF_LOG2E * np.diag(E.T @ f_inv @ E)
+    cross = sigma[np.ix_(idx, comp)]
+    inner = (
+        sigma[np.ix_(idx, idx)]
+        + E @ sigma[np.ix_(comp, comp)] @ E.T
+        - E @ cross.T
+        - cross @ E.T
+    )
+    const = (
+        0.5 * np.linalg.slogdet(F)[1] * LOG2E
+        + HALF_LOG2E * float(np.trace(f_inv @ inner))
+        - idx.size * HALF_LOG2E
+    )
+    return w, const
 
 
 def chi_xi(model: GaussianSourceModel, E, F, q, S) -> float:
@@ -53,44 +79,16 @@ def chi_xi(model: GaussianSourceModel, E, F, q, S) -> float:
     For the full set, pass E = None and F = G.
     """
     qv = q.q if isinstance(q, MbtcParams) else np.asarray(q, dtype=float)
-    M = model.M
-    sigma = model.sigma_x
     idx = np.array(sorted(int(m) for m in S), dtype=int)
+    comp = np.setdiff1d(np.arange(model.M), idx)
     F = np.atleast_2d(np.asarray(F, dtype=float))
     try:
         np.linalg.cholesky(F)
     except np.linalg.LinAlgError:
         raise ValueError("F (or G) must be positive definite") from None
-    f_inv = np.linalg.inv(F)
-    sign, logdet = np.linalg.slogdet(F)
-    logdet_f = logdet * LOG2E
-    if idx.size == M:
-        chi = HALF_LOG2E * float(np.trace(f_inv @ np.diag(qv))) - 0.5 * np.sum(
-            np.log2(qv)
-        )
-        xi = 0.5 * logdet_f + HALF_LOG2E * float(np.trace(f_inv @ sigma)) - M * HALF_LOG2E
-        return chi + xi
-    comp = np.setdiff1d(np.arange(M), idx)
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    ete = E.T @ f_inv @ E
-    chi = (
-        HALF_LOG2E * float(np.sum(np.diag(f_inv) * qv[idx]))
-        + HALF_LOG2E * float(np.sum(np.diag(ete) * qv[comp]))
-        - 0.5 * np.sum(np.log2(qv[idx]))
-    )
-    cross = sigma[np.ix_(idx, comp)]
-    inner = (
-        sigma[np.ix_(idx, idx)]
-        + E @ sigma[np.ix_(comp, comp)] @ E.T
-        - E @ cross.T
-        - cross @ E.T
-    )
-    xi = (
-        0.5 * logdet_f
-        + HALF_LOG2E * float(np.trace(f_inv @ inner))
-        - idx.size * HALF_LOG2E
-    )
-    return chi + xi
+    E = np.reshape(np.asarray([] if E is None else E, dtype=float), (idx.size, comp.size))
+    w, const = _tangent_row(model.sigma_x, idx, comp, E, F)
+    return float(w @ qv - 0.5 * np.sum(np.log2(qv[idx])) + const)
 
 
 @dataclass(frozen=True)
@@ -137,80 +135,30 @@ def build_surrogate(
     feasible, worst = is_feasible(model, q_hat, budget)
     if not feasible:
         raise ValueError(f"expansion point is infeasible (worst slack {worst:.3e})")
-    M = model.M
     sigma = model.sigma_x
     qv = q_hat.q
     b = np.linalg.solve(sigma + np.diag(qv), sigma @ model.c)
-    masks = []
-    lin = []
-    logm = []
-    consts = []
-    buds = []
-    for mask in range(1, 1 << M):
-        idx = mask_to_indices(mask, M)
-        w = np.zeros(M)
-        lmask = np.zeros(M, dtype=bool)
-        lmask[idx] = True
-        if idx.size == M:
-            G = expansion_matrices(model, q_hat, idx)
-            g_inv = np.linalg.inv(G)
-            w[:] = HALF_LOG2E * np.diag(g_inv)
-            sign, logdet = np.linalg.slogdet(G)
-            const = (
-                0.5 * logdet * LOG2E
-                + HALF_LOG2E * float(np.trace(g_inv @ sigma))
-                - M * HALF_LOG2E
-            )
-        else:
-            comp = np.setdiff1d(np.arange(M), idx)
-            E, F = expansion_matrices(model, q_hat, idx)
-            f_inv = np.linalg.inv(F)
-            w[idx] = HALF_LOG2E * np.diag(f_inv)
-            w[comp] = HALF_LOG2E * np.diag(E.T @ f_inv @ E)
-            cross = sigma[np.ix_(idx, comp)]
-            inner = (
-                sigma[np.ix_(idx, idx)]
-                + E @ sigma[np.ix_(comp, comp)] @ E.T
-                - E @ cross.T
-                - cross @ E.T
-            )
-            sign, logdet = np.linalg.slogdet(F)
-            const = (
-                0.5 * logdet * LOG2E
-                + HALF_LOG2E * float(np.trace(f_inv @ inner))
-                - idx.size * HALF_LOG2E
-            )
-        masks.append(mask)
-        lin.append(w)
-        logm.append(lmask)
-        consts.append(const)
-        buds.append(float(np.sum(budget.r[idx])))
+    members = all_subsets(model.M)
+    lin = np.empty(members.shape)
+    consts = np.empty(members.shape[0])
+    for i, row in enumerate(members):
+        idx, comp = np.flatnonzero(row), np.flatnonzero(~row)
+        E, F = _expansion(sigma, qv, idx, comp)
+        lin[i], consts[i] = _tangent_row(sigma, idx, comp, E, F)
     return SurrogateProblem(
         objective_weights=b**2,
-        masks=tuple(masks),
-        linear_weights=np.array(lin),
-        log_mask=np.array(logm),
-        constants=np.array(consts),
-        budgets=np.array(buds),
+        masks=tuple(range(1, 1 << model.M)),
+        linear_weights=lin,
+        log_mask=members,
+        constants=consts,
+        budgets=members @ budget.r,
         expansion_point=qv.copy(),
     )
 
 
-def _interior_start(problem: SurrogateProblem) -> np.ndarray:
-    # The surrogate constraints share the exact-MI gradient at the expansion
-    # point, which is strictly negative in every coordinate, so scaling q up
-    # moves strictly into the interior.
-    q = problem.expansion_point
-    for bump in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0, 7.0, 15.0):
-        cand = q * (1.0 + bump)
-        if np.all(problem.constraint_values(cand) < 0) and np.all(cand > Q_MIN):
-            return cand
-    raise SolverError("could not find a strictly interior start", last_iterate=q)
-
-
 def solve_surrogate(problem: SurrogateProblem, tol: float = 1e-8) -> MbtcParams:
     """Solve the convex surrogate with the log-barrier method."""
-    q0 = _interior_start(problem)
+    q0 = interior_start(problem.constraint_values, problem.expansion_point, Q_MIN)
     q = minimize_linear(
         problem.objective_weights,
         _SurrogateConstraints(problem),
@@ -258,8 +206,6 @@ def optimize(
 ) -> OptimizeResult:
     """MM loop: surrogate construction + barrier solve until the fractional
     increase of the original objective drops below eps."""
-    if model.M > 25:
-        raise ValueError(f"constraint enumeration capped at M = 25, got {model.M}")
     q = find_feasible_init(model, budget)
     obj = _original_objective(model, q.q)
     trace = [obj]

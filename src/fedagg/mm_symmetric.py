@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .barrier import ConstraintSet, minimize_linear
+from .barrier import ConstraintSet, interior_start, minimize_linear
 from .errors import SolverError
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 from .region import LOG2E
@@ -133,28 +133,15 @@ class _ThetaUpConstraints(ConstraintSet):
 
 
 def _find_feasible_groups(model: SymmetricSourceModel, selections) -> np.ndarray:
+    # theta_up expanded at q itself is theta, so the rows' values at q are
+    # the exact per-selection requirements minus budgets.
     alpha = model.sigma2
-    budgets = selections @ model.group_rates
     for _ in range(200):
         q = np.full(len(model.group_sizes), alpha)
-        req = np.array(
-            [
-                theta(model.rho, model.sigma2, model.group_sizes, q, s)
-                for s in selections
-            ]
-        )
-        if np.all(req <= budgets + 1e-12):
+        if np.all(_ThetaUpConstraints(model, selections, q).value(q) <= 1e-12):
             return q
         alpha *= 2.0
     raise SolverError("feasible initializer did not terminate")  # pragma: no cover
-
-
-def _interior_start(cons: _ThetaUpConstraints, q_hat: np.ndarray) -> np.ndarray:
-    for bump in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 3.0, 7.0, 15.0):
-        cand = q_hat * (1.0 + bump)
-        if np.all(cons.value(cand) < 0) and np.all(cand > Q_MIN):
-            return cand
-    raise SolverError("could not find a strictly interior start", last_iterate=q_hat)
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,7 @@ def optimize_symmetric(
         cons = _ThetaUpConstraints(model, selections, q)
         # Surrogate objective: minimize sum_j M_j q_j / (q_hat_j + a)^2.
         f = sizes.astype(float) / (q + a) ** 2
-        q0 = _interior_start(cons, q)
+        q0 = interior_start(cons.value, q, Q_MIN)
         q_new = np.maximum(minimize_linear(f, cons, q0, x_min=Q_MIN), Q_MIN)
         obj_new = symmetric_objective(model.rho, model.sigma2, sizes, q_new)
         if obj_new >= obj:

@@ -3,6 +3,10 @@
 Subsets of devices are represented as bitmasks (bit m set = device m in the
 subset); enumeration is in increasing integer order so binding constraints
 are reported deterministically.
+
+Silent devices (q = +inf) drop out of every rate term: their u_m carries
+nothing, so they are removed before any determinant is taken, and a subset
+that holds only silent devices requires 0 bits.
 """
 
 from __future__ import annotations
@@ -23,50 +27,67 @@ def _qvec(q) -> np.ndarray:
     return np.atleast_1d(np.asarray(q, dtype=float))
 
 
-def mask_to_indices(mask: int, M: int) -> np.ndarray:
-    return np.array([m for m in range(M) if mask >> m & 1], dtype=int)
+def all_subsets(M: int) -> np.ndarray:
+    """(2^M - 1, M) membership matrix of every nonempty subset, rows in
+    increasing bitmask order (row i is mask i + 1)."""
+    if M > MAX_ENUM_M:
+        raise ValueError(f"constraint enumeration capped at M = {MAX_ENUM_M}, got {M}")
+    masks = np.arange(1, 1 << M)
+    return (masks[:, None] >> np.arange(M)) & 1 == 1
 
 
-def indices_to_mask(indices) -> int:
-    mask = 0
-    for m in indices:
-        mask |= 1 << int(m)
-    return mask
-
-
-def _as_indices(S, M: int) -> np.ndarray:
+def _membership(S, M: int) -> np.ndarray:
+    """Membership row of a bitmask or an iterable of device indices."""
     if isinstance(S, (int, np.integer)):
-        return mask_to_indices(int(S), M)
-    return np.array(sorted(int(m) for m in S), dtype=int)
+        return (int(S) >> np.arange(M)) & 1 == 1
+    row = np.zeros(M, dtype=bool)
+    row[[int(m) for m in S]] = True
+    return row
 
 
-def _logdet2(a: np.ndarray) -> float:
-    """log2-determinant of a positive definite matrix, via triangular factorization."""
+def _logdet2(a: np.ndarray):
+    """log2-determinant of a (stack of) positive definite matrices."""
     sign, logdet = np.linalg.slogdet(a)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return logdet * LOG2E
 
 
+def _required_bits(model: GaussianSourceModel, q, members: np.ndarray) -> np.ndarray:
+    """I(x_S; u_S | u_{S^c}) in bits/symbol for every row S of an (n, M)
+    membership matrix.
+
+    Silent devices are dropped first, so a row of silent devices requires 0
+    bits. The complement blocks are stacked by size, one slogdet per size.
+    """
+    qv = _qvec(q)
+    live = ~np.isposinf(qv)
+    q_live = qv[live]
+    inside = members[:, live]
+    outside = ~inside
+    block = model.sigma_x[np.ix_(live, live)] + np.diag(q_live)
+    comp_logdet = np.zeros(inside.shape[0])
+    sizes = outside.sum(axis=1)
+    for k in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == k)
+        comp = np.nonzero(outside[rows])[1].reshape(rows.size, k)
+        comp_logdet[rows] = _logdet2(block[comp[:, :, None], comp[:, None, :]])
+    log_q = np.sum(np.where(inside, np.log2(q_live), 0.0), axis=1)
+    bits = 0.5 * (_logdet2(block) - comp_logdet - log_q)
+    return np.where(inside.any(axis=1), bits, 0.0)
+
+
 def cond_mutual_info(model: GaussianSourceModel, q, S) -> float:
     """I(x^S; u^S | u^{S^c}) in bits/symbol for a nonempty proper subset S."""
-    qv = _qvec(q)
-    M = model.M
-    idx = _as_indices(S, M)
-    if idx.size == 0 or idx.size == M:
+    row = _membership(S, model.M)
+    if not row.any() or row.all():
         raise ValueError("S must be a nonempty proper subset (use sum_mutual_info for the full set)")
-    comp = np.setdiff1d(np.arange(M), idx)
-    sigma = model.sigma_x
-    full = _logdet2(sigma + np.diag(qv))
-    sub = _logdet2(sigma[np.ix_(comp, comp)] + np.diag(qv[comp]))
-    return 0.5 * (full - sub - np.sum(np.log2(qv[idx])))
+    return float(_required_bits(model, q, row[None, :])[0])
 
 
 def sum_mutual_info(model: GaussianSourceModel, q) -> float:
     """I(x; u) in bits/symbol."""
-    qv = _qvec(q)
-    full = _logdet2(model.sigma_x + np.diag(qv))
-    return 0.5 * (full - np.sum(np.log2(qv)))
+    return float(_required_bits(model, q, np.ones((1, model.M), dtype=bool))[0])
 
 
 def _finite_part(model: GaussianSourceModel, qv: np.ndarray):
@@ -101,44 +122,32 @@ def distortion(model: GaussianSourceModel, q) -> float:
     return max(total, 0.0)
 
 
+def _constraint_columns(model: GaussianSourceModel, q, budget: RateBudget):
+    """(required, budget, slack) bits of all 2^M - 1 subsets, in bitmask order."""
+    members = all_subsets(model.M)
+    required = _required_bits(model, q, members)
+    have = members @ budget.r
+    return required, have, have - required
+
+
 def is_feasible(model: GaussianSourceModel, q, budget: RateBudget):
     """Check all 2^M - 1 subset rate constraints.
 
     Returns (feasible, worst_slack) with worst_slack = min over constraints
-    of (budget sum - required bits); feasible iff worst_slack >= -1e-9.
+    of (budget sum - required bits); feasible iff every slack >= -1e-9, so a
+    NaN slack is infeasible.
     """
-    M = model.M
-    if M > MAX_ENUM_M:
-        raise ValueError(f"constraint enumeration capped at M = {MAX_ENUM_M}, got {M}")
-    worst = np.inf
-    for mask in range(1, 1 << M):
-        idx = mask_to_indices(mask, M)
-        required = (
-            sum_mutual_info(model, q)
-            if idx.size == M
-            else cond_mutual_info(model, q, idx)
-        )
-        slack = float(np.sum(budget.r[idx])) - required
-        worst = min(worst, slack)
-    return worst >= -1e-9, worst
+    _, _, slack = _constraint_columns(model, q, budget)
+    return bool(np.all(slack >= -1e-9)), float(np.min(slack))
 
 
 def constraint_report(model: GaussianSourceModel, q, budget: RateBudget):
     """Per-constraint rows (subset_mask, required_bits, budget_bits, slack)."""
-    M = model.M
-    if M > MAX_ENUM_M:
-        raise ValueError(f"constraint enumeration capped at M = {MAX_ENUM_M}, got {M}")
-    rows = []
-    for mask in range(1, 1 << M):
-        idx = mask_to_indices(mask, M)
-        required = (
-            sum_mutual_info(model, q)
-            if idx.size == M
-            else cond_mutual_info(model, q, idx)
-        )
-        have = float(np.sum(budget.r[idx]))
-        rows.append((mask, required, have, have - required))
-    return rows
+    columns = _constraint_columns(model, q, budget)
+    return [
+        (mask, float(req), float(have), float(slack))
+        for mask, req, have, slack in zip(range(1, 1 << model.M), *columns)
+    ]
 
 
 def single_source_rd(sigma2: float, R: float):
@@ -161,15 +170,10 @@ class RegionEvaluation:
 
 
 def evaluate_region(model: GaussianSourceModel, q) -> RegionEvaluation:
-    M = model.M
-    if M > MAX_ENUM_M:
-        raise ValueError(f"constraint enumeration capped at M = {MAX_ENUM_M}, got {M}")
-    cond = {}
-    for mask in range(1, (1 << M) - 1):
-        cond[mask] = cond_mutual_info(model, q, mask)
+    bits = _required_bits(model, q, all_subsets(model.M))
     return RegionEvaluation(
-        sum_rate=sum_mutual_info(model, q),
-        conditional_rates=cond,
+        sum_rate=float(bits[-1]),
+        conditional_rates={mask: float(b) for mask, b in enumerate(bits[:-1], start=1)},
         distortion=distortion(model, q),
         combiner=mmse_combiner(model, q),
     )

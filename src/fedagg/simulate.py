@@ -22,7 +22,7 @@ from .model import (
     empirical_covariance,
     validate_psd,
 )
-from .region import cond_mutual_info, mmse_combiner, sum_mutual_info
+from .region import cond_mutual_info, distortion, mmse_combiner, sum_mutual_info
 from .seeds import seed_stream
 from .transform import DeviceUpdateBatch, haar_derotate, haar_rotate, inverse_transform
 
@@ -139,14 +139,12 @@ def mbtc_aggregate(
             if batch.M == 1
             else cond_mutual_info(model, q, [m])
         )
-    from .region import distortion as region_distortion
-
     return AggregationResult(
         estimate=estimate,
         target=target,
         empirical_distortion=measure_distortion(target, estimate),
         rate_report=rates,
-        predicted_distortion=region_distortion(model, q),
+        predicted_distortion=distortion(model, q),
         q=q,
     )
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedagg.model import (
     GaussianSourceModel,
@@ -205,6 +206,44 @@ class TestFeasibility:
         for i in range(0, q_grid.shape[0], 97):
             verdict, _ = is_feasible(model, MbtcParams(q_grid[i]), budget)
             assert verdict == oracle_feasible[i]
+
+    def test_silent_device_does_not_hide_a_violation(self):
+        # Device 2 alone needs 0.5 log2(1 + 1e6) bits against a 1-bit budget.
+        model = GaussianSourceModel(
+            sigma_x=np.array([[1.0, 0.5], [0.5, 1.0]]), c=np.array([0.5, 0.5])
+        )
+        q, budget = MbtcParams([np.inf, 1e-6]), RateBudget([1.0, 1.0])
+        feasible, slack = is_feasible(model, q, budget)
+        assert not feasible
+        assert slack == pytest.approx(1.0 - 0.5 * np.log2(1.0 + 1e6), abs=1e-9)
+        rows = constraint_report(model, q, budget)
+        assert np.all(np.isfinite(np.array(rows)))
+
+    def test_nan_noise_is_infeasible(self):
+        model = make_model(0.5, 1.0, 2)
+        with np.errstate(invalid="ignore"):
+            feasible, _ = is_feasible(model, np.array([np.nan, 1.0]), RateBudget([1.0, 1.0]))
+        assert not feasible
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        silent=st.lists(st.booleans(), min_size=1, max_size=5),
+    )
+    def test_required_bits_match_grid_oracle_on_finite_submodel(self, seed, silent):
+        m = len(silent)
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, m)
+        q = np.where(silent, np.inf, rng.uniform(0.05, 3.0, size=m))
+        live = np.flatnonzero(np.isfinite(q))
+        oracle = grid_mutual_informations(
+            model.sigma_x[np.ix_(live, live)], q[live][None, :]
+        )
+        rows = constraint_report(model, MbtcParams(q), RateBudget(np.ones(m)))
+        for mask, required, _, _ in rows:
+            sub = sum(1 << j for j, i in enumerate(live) if mask >> i & 1)
+            expected = oracle[sub][0] if sub else 0.0
+            assert required == pytest.approx(expected, abs=1e-9)
 
     def test_constraint_report_columns(self):
         model = make_model(0.5, 1.0, 2)
