@@ -68,16 +68,14 @@ def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0, newton_tol=1e-10):
     n_cons = g0.shape[0] + dim
 
     def phi(xx, t):
-        if np.any(xx <= x_min):
+        # Array methods, not np.any/np.sum: phi runs a few hundred times per
+        # solve, and the module-level wrappers cost more than the reductions.
+        if (xx <= x_min).any():
             return np.inf
         g = cons.value(xx)
-        if np.any(g >= 0):
+        if (g >= 0).any():
             return np.inf
-        return (
-            t * f @ xx
-            - np.sum(np.log(-g))
-            - np.sum(np.log(xx - x_min))
-        )
+        return t * f @ xx - np.log(-g).sum() - np.log(xx - x_min).sum()
 
     t = T_INIT
     newton_used = 0

@@ -104,29 +104,26 @@ class _ThetaUpConstraints(ConstraintSet):
     def value(self, q):
         inv = 1.0 / (self.a + q)
         t1 = 0.5 * self.sel @ np.log2(1.0 + self.a / q)
-        t2 = 0.5 * np.log2(
-            1.0 + np.sum(self.sizes * self.rho * self.sigma2 * inv)
-        )
+        t2 = 0.5 * np.log2(1.0 + (self.sizes * self.rho * self.sigma2 * inv).sum())
         t4 = HALF_LOG2E * self.tangent @ q
         return t1 + t2 + t4 + self.const
 
     def grad(self, q):
-        n = self.sel.shape[0]
         inv = 1.0 / (self.a + q)
         # d/dq of 0.5*log2((q + a)/q) is (1/(2 ln 2)) (1/(q+a) - 1/q)
         g1 = HALF_LOG2E * self.sel * (inv - 1.0 / q)[None, :]
         coef = self.sizes * self.rho * self.sigma2
-        h = 1.0 + np.sum(coef * inv)
+        h = 1.0 + (coef * inv).sum()
         g2 = HALF_LOG2E * (-coef * inv**2) / h
-        return g1 + np.broadcast_to(g2, (n, q.shape[0])) + HALF_LOG2E * self.tangent
+        return g1 + g2 + HALF_LOG2E * self.tangent
 
     def hess_weighted(self, q, w):
         inv = 1.0 / (self.a + q)
         d1 = HALF_LOG2E * (w @ self.sel) * (1.0 / q**2 - inv**2)
         coef = self.sizes * self.rho * self.sigma2
-        h = 1.0 + np.sum(coef * inv)
+        h = 1.0 + (coef * inv).sum()
         u1 = -coef * inv**2
-        w_sum = float(np.sum(w))
+        w_sum = float(w.sum())
         d2 = HALF_LOG2E * w_sum * (2.0 * coef * inv**3) / h
         rank1 = -HALF_LOG2E * w_sum * np.outer(u1, u1) / h**2
         return np.diag(d1 + d2) + rank1

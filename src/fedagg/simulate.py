@@ -171,7 +171,7 @@ def qsgd_quantize(v, s: int, seed: int):
 
 
 def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
-    """Haar-rotate, uniformly quantize over [-4 sigma, 4 sigma], inverse-rotate."""
+    """Rotate segments, quantize uniformly over [-4 sigma, 4 sigma], de-rotate."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
     if bits_per_element < 1:

@@ -1,7 +1,7 @@
-"""Data pre/post-processing: mean removal, segmented Haar rotation, inverse
+"""Data pre/post-processing: mean removal, segmented random rotation, inverse
 transform, synthetic correlated-update generators, and Gaussianization checks.
 
-Rotation matrices are materialized per segment only (memory O(segment_len^2));
+Segments are rotated by a randomized Hartley transform (FFT, no stored matrix);
 the shared randomness is modeled by a 64-bit seed carried with the batch.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,53 +30,51 @@ def mean_remove(g):
 
 
 def haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform orthogonal matrix via QR with R-diagonal sign correction."""
+    """Reference Haar sampler: QR of a Gaussian with R-diagonal sign correction."""
     z = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * np.sign(np.diag(r))[None, :]
 
 
-def _segment_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(seed_stream(seed, "haar-segment", index))
+def _hartley(x: np.ndarray) -> np.ndarray:
+    # Orthonormal DHT along the last axis: symmetric and its own inverse.
+    f = np.fft.fft(x, norm="ortho")
+    return f.real - f.imag
 
 
-@lru_cache(maxsize=136)
-def _segment_matrix(seed: int, index: int, dim: int) -> np.ndarray:
-    # QR at dim 1024 costs ~0.3 s on one core; forward/inverse passes and
-    # repeated rotations under a shared public seed hit this cache instead.
-    q = haar_matrix(dim, _segment_rng(seed, index))
-    q.flags.writeable = False
-    return q
-
-
-def _apply_segments(v: np.ndarray, seed: int, segment_len: int, transpose: bool):
-    # Accepts a vector or row-stacked vectors; each segment matrix is built
-    # once and applied to every row.
+def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
+    # Accepts a vector or row-stacked vectors. All full segments of all rows
+    # go through one batched transform; the short tail takes one more call.
+    if segment_len < 1:
+        raise ValueError(f"segment_len must be >= 1, got {segment_len}")
+    v = np.asarray(v, dtype=float)
     n = v.shape[-1]
+    rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
+    d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
+    full = n - n % segment_len
     out = np.empty_like(v)
-    for i, start in enumerate(range(0, n, segment_len)):
-        stop = min(start + segment_len, n)
-        q = _segment_matrix(seed, i, stop - start)
-        if transpose:
-            q = q.T
-        out[..., start:stop] = v[..., start:stop] @ q.T
+    for lo, hi, seg in ((0, full, segment_len), (full, n, n - full)):
+        if lo < hi:
+            x = v[..., lo:hi].reshape(v.shape[:-1] + ((hi - lo) // seg, seg))
+            s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
+            y = s1 * _hartley(s2 * _hartley(x)) if inverse else _hartley(s2 * _hartley(s1 * x))
+            out[..., lo:hi] = y.reshape(v.shape[:-1] + (hi - lo,))
     return out
 
 
 def haar_rotate(g_tilde, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
-    """Rotate each length-segment_len block by an independent Haar matrix.
+    """Rotate each length-segment_len block as x -> H D2 H D1 x.
 
-    Accepts one vector or an (M, N) stack sharing the rotation. The trailing
-    short block gets its own Haar matrix of matching dimension.
+    D1, D2: seeded random +-1 diagonals; H: orthonormal discrete Hartley transform.
+    Orthogonal and Gaussianizing like a Haar rotation, with no stored matrix.
+    Takes one vector or an (M, N) stack; the short tail block takes the same map.
     """
-    g_tilde = np.asarray(g_tilde, dtype=float)
-    return _apply_segments(g_tilde, seed, segment_len, transpose=False)
+    return _apply_segments(g_tilde, seed, segment_len, inverse=False)
 
 
 def haar_derotate(x, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
-    """Inverse (transpose) of haar_rotate with the same seed/segmentation."""
-    x = np.asarray(x, dtype=float)
-    return _apply_segments(x, seed, segment_len, transpose=True)
+    """Inverse (x -> D1 H D2 H x per block) of haar_rotate with the same seed."""
+    return _apply_segments(x, seed, segment_len, inverse=True)
 
 
 def inverse_transform(x_hat, means, c, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
@@ -129,7 +127,11 @@ class DeviceUpdateBatch:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DeviceUpdateBatch":
+        if len(blob) < 32:
+            raise ValueError(f"blob of {len(blob)} bytes has no 32-byte header")
         m, n, seg, seed = struct.unpack_from("<qqqq", blob)
+        if min(m, n, seg) < 1 or len(blob) != 32 + 8 * m * n:
+            raise ValueError(f"header M={m}, N={n}, segment_len={seg} for {len(blob)} bytes")
         body = np.frombuffer(blob, dtype="<f8", offset=32).reshape(m, n)
         return cls(updates=body.copy(), rotation_seed=seed, segment_len=seg)
 

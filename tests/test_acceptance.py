@@ -219,7 +219,7 @@ def test_criterion_7_transform_invariants():
     # Gaussianization at N = 2^17: Gaussian inputs stay near-Gaussian, the
     # rho=0.9 synthetic sources keep their covariance, heavy tails shrink.
     N = 2**17
-    rot = seed_stream(3, "rotation")  # shared with criterion 6's cache
+    rot = seed_stream(3, "rotation")  # criterion 6's rotation seed
     gauss = np.stack(synthetic_sources(0.9, 2, N, seed=71))
     rot_g = haar_rotate(gauss, rot)
     rep = gaussianization_check(rot_g, gauss)

@@ -225,7 +225,7 @@ class TestFeasibility:
             feasible, _ = is_feasible(model, np.array([np.nan, 1.0]), RateBudget([1.0, 1.0]))
         assert not feasible
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
         silent=st.lists(st.booleans(), min_size=1, max_size=5),

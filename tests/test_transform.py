@@ -1,9 +1,13 @@
-"""Tests for mean removal, Haar rotation, and device update batches."""
+"""Tests for mean removal, segment rotation, and device update batches."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fedagg.model import empirical_covariance
+from fedagg.model import RateBudget, empirical_covariance
+from fedagg.simulate import mbtc_aggregate, synthetic_sources
 from fedagg.transform import (
     Assumption1Spec,
     DeviceUpdateBatch,
@@ -55,8 +59,13 @@ class TestRotation:
         assert np.array_equal(a, b)
         assert not np.allclose(a, c)
 
+    @pytest.mark.parametrize("segment_len", [0, -5])
+    def test_rejects_nonpositive_segment_len(self, segment_len):
+        with pytest.raises(ValueError):
+            haar_rotate(np.ones(10), seed=1, segment_len=segment_len)
+
     def test_shared_rotation_preserves_cross_moments(self):
-        # All devices use the same per-segment matrices, so G X X^T G^T summed
+        # All devices use the same per-segment rotations, so G X X^T G^T summed
         # over segments keeps the M x M empirical covariance exactly.
         rng = np.random.default_rng(4)
         g = rng.standard_normal((3, 2048))
@@ -64,6 +73,58 @@ class TestRotation:
         pre = empirical_covariance(g)
         post = empirical_covariance(x)
         assert np.abs(pre - post).max() < 1e-10
+
+
+class TestRotationProperties:
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(1, 3000),
+        segment_len=st.integers(1, 2048),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inverse_norm_rows_and_seed(self, n, segment_len, rows, seed, data_seed):
+        v = np.random.default_rng(data_seed).standard_normal((rows, n))
+        x = haar_rotate(v, seed, segment_len)
+        assert np.abs(haar_derotate(x, seed, segment_len) - v).max() < 1e-12
+        norms = np.linalg.norm(v, axis=1)
+        assert np.abs(np.linalg.norm(x, axis=1) - norms).max() < 1e-12 * norms.max()
+        by_row = np.vstack([haar_rotate(r, seed, segment_len) for r in v])
+        assert np.abs(by_row - x).max() < 1e-12
+        assert np.array_equal(haar_rotate(v, seed, segment_len), x)
+        # Below 64 coordinates two seeds can draw the same map (segment_len 1
+        # is a sign flip per coordinate, which repeats with odds 2^-n).
+        if n >= 64:
+            assert not np.allclose(haar_rotate(v, seed + 1, segment_len), x)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 1200),
+        segment_len=st.integers(1, 2048),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_explicit_matrix_orthogonal(self, n, segment_len, seed):
+        # The n x n matrix costs O(n^2) memory, so n stops short of the 3000
+        # above; the round trip and norm properties cover the longer vectors.
+        E = haar_rotate(np.eye(n), seed, segment_len)
+        assert np.abs(E @ E.T - np.eye(n)).max() < 1e-12
+
+
+def test_rotation_builds_no_dense_matrix(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the rotation must not build a dense QR matrix")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    v = np.random.default_rng(12).standard_normal((2, 2**17))
+    x = haar_rotate(v, seed=1201)
+    assert np.abs(haar_derotate(x, seed=1201) - v).max() < 1e-12
+    M, N = 3, 4096
+    batch = DeviceUpdateBatch(
+        updates=np.stack(synthetic_sources(0.8, M, N, seed=1202)), rotation_seed=1203
+    )
+    res = mbtc_aggregate(batch, np.full(M, 1.0 / M), RateBudget(np.full(M, 2.0)), seed=1204)
+    assert np.isfinite(res.empirical_distortion)
 
 
 class TestMeanRemove:
@@ -97,7 +158,7 @@ class TestDeviceUpdateBatch:
         expect = np.vstack(
             [haar_rotate(r, seed=1, segment_len=100) for r in batch.mean_removed]
         )
-        # Row-wise and batched applications may round differently in BLAS.
+        # Row-wise and batched applications may round differently in the FFT.
         assert np.abs(batch.rotated - expect).max() < 1e-12
 
     def test_bytes_round_trip(self):
@@ -108,6 +169,30 @@ class TestDeviceUpdateBatch:
         clone = DeviceUpdateBatch.from_bytes(batch.to_bytes())
         assert np.array_equal(clone.updates, batch.updates)
         assert clone.rotation_seed == 42 and clone.segment_len == 16
+
+    @pytest.mark.parametrize(
+        "m, n, seg, body_len",
+        [
+            (-1, 3, 16, 6),  # reshape(-1, n) would infer M = 2
+            (0, 0, 16, 0),
+            (2, 0, 16, 0),
+            (2, -3, 16, 6),
+            (2, 3, 0, 6),
+            (2, 3, -4, 6),
+            (2, 3, 16, 5),
+            (2, 3, 16, 7),
+        ],
+    )
+    def test_from_bytes_rejects_bad_header_or_body(self, m, n, seg, body_len):
+        blob = struct.pack("<qqqq", m, n, seg, 42) + np.zeros(body_len).tobytes()
+        with pytest.raises(ValueError):
+            DeviceUpdateBatch.from_bytes(blob)
+
+    def test_from_bytes_rejects_short_header(self):
+        blob = struct.pack("<qqqq", 2, 3, 16, 42)
+        for cut in (0, 8, 31):
+            with pytest.raises(ValueError):
+                DeviceUpdateBatch.from_bytes(blob[:cut])
 
 
 class TestAssumption1:
@@ -122,7 +207,7 @@ class TestAssumption1:
 
     def test_heavy_tailed_isotropic_gaussianized_by_rotation(self):
         # Laplace entries (excess kurtosis 3) become near-Gaussian after a
-        # shared Haar rotation of each segment.
+        # shared random rotation of each segment.
         rng = np.random.default_rng(4)
         n = 2**15
         sources = rng.laplace(size=(2, n))
