@@ -1,5 +1,7 @@
 """Rate-distortion analysis and optimization for federated model aggregation."""
 
+import logging
+
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
@@ -21,3 +23,6 @@ from .region import (  # noqa: F401
     single_source_rd,
     sum_mutual_info,
 )
+
+# Library logging is silent unless the application configures a handler.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

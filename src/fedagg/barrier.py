@@ -3,10 +3,22 @@
 Minimizes a linear objective f'x subject to smooth convex constraints
 g_i(x) <= 0 and box lower bounds x >= x_min. Newton steps with backtracking
 line search (alpha = 0.25, beta = 0.5); barrier parameter t scales by 10 per
-outer stage from t = 1 until n_constraints / t < 1e-9.
+outer stage from t = 1 until n_constraints / t < 1e-9 (centering as in Boyd &
+Vandenberghe, Convex Optimization, section 11.3).
+
+A centering stage ends when the Newton decrement falls below tolerance, after
+40 steps, or when it stalls: the accepted iterate x + lam * step equals x in
+floating point (or the line search underflows). Every further step of a
+stalled stage would recompute the same step from the same x, so ending it
+returns the same point and keeps the 500-step budget for later stages.
+
+Each solve logs one DEBUG record on the ``fedagg.barrier`` logger with its
+Newton steps, stages, stalled stages and final t.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
@@ -19,6 +31,8 @@ T_SCALE = 10.0
 GAP_TOL = 1e-9
 MAX_NEWTON_TOTAL = 500
 MAX_NEWTON_PER_STAGE = 40
+
+logger = logging.getLogger(__name__)
 
 
 class ConstraintSet:
@@ -79,10 +93,12 @@ def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0, newton_tol=1e-10):
 
     t = T_INIT
     newton_used = 0
+    stages = stalled = 0
     while True:
         # Newton centering for the current t. At large t the decrement can
         # float just above tolerance; the per-stage cap accepts the
         # approximately centered point instead of burning the budget.
+        stages += 1
         stage_used = 0
         while stage_used < MAX_NEWTON_PER_STAGE:
             if newton_used >= MAX_NEWTON_TOTAL:
@@ -109,16 +125,23 @@ def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0, newton_tol=1e-10):
             decrement2 = float(-grad @ step)
             if decrement2 / 2.0 <= newton_tol:
                 break
-            base = phi(x, t)
+            # phi(x, t) from the g above: x is strictly feasible here.
+            base = t * f @ x - np.log(-g).sum() - np.log(x - x_min).sum()
             slope = float(grad @ step)
             lam = 1.0
             while phi(x + lam * step, t) > base + ALPHA * lam * slope:
                 lam *= BETA
                 if lam < 1e-14:
                     break
-            if lam < 1e-14:
+            x_new = x + lam * step
+            if lam < 1e-14 or np.array_equal(x_new, x):
+                stalled += 1
                 break
-            x = x + lam * step
+            x = x_new
         if n_cons / t < GAP_TOL:
+            logger.debug(
+                "barrier solve: %d Newton steps, %d stages (%d stalled), final t=%g",
+                newton_used, stages, stalled, t,
+            )
             return x
         t *= T_SCALE

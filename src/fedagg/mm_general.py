@@ -14,7 +14,7 @@ import numpy as np
 from .barrier import ConstraintSet, interior_start, minimize_linear
 from .errors import SolverError
 from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
-from .region import LOG2E, all_subsets, distortion, is_feasible
+from .region import LOG2E, _membership, all_subsets, by_complement_size, distortion, is_feasible
 
 HALF_LOG2E = 0.5 * LOG2E
 
@@ -32,43 +32,63 @@ def quad_form_lower_bound(a, b, B) -> float:
 
 
 def _expansion(sigma: np.ndarray, qv: np.ndarray, idx: np.ndarray, comp: np.ndarray):
-    """(E_S, F_S) at qv. An empty complement gives E of width 0 and F = G."""
-    cross = sigma[np.ix_(idx, comp)]
-    comp_block = sigma[np.ix_(comp, comp)] + np.diag(qv[comp])
-    E = np.linalg.solve(comp_block, cross.T).T
-    F = sigma[np.ix_(idx, idx)] + np.diag(qv[idx]) - E @ cross.T
+    """Stacked (E_S, F_S) at qv for n subsets of one size, given as (n, |S|)
+    and (n, |S^c|) device indices. An empty complement gives E of width 0
+    and F = G.
+    """
+    cross = _blocks(sigma, idx, comp)
+    comp_block = _blocks(sigma, comp, comp)
+    _add_diagonal(comp_block, qv[comp])
+    E = np.linalg.solve(comp_block, cross.swapaxes(1, 2)).swapaxes(1, 2)
+    F = _blocks(sigma, idx, idx)
+    _add_diagonal(F, qv[idx])
+    F -= E @ cross.swapaxes(1, 2)
     return E, F
+
+
+def _blocks(sigma: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Stacked submatrices sigma[rows[i]][:, cols[i]] (a copy)."""
+    return sigma[rows[:, :, None], cols[:, None, :]]
+
+
+def _add_diagonal(blocks: np.ndarray, d: np.ndarray) -> None:
+    """Add d[i] to the diagonal of blocks[i] in place."""
+    k = np.arange(d.shape[1])
+    blocks[:, k, k] += d
 
 
 def expansion_matrices(model: GaussianSourceModel, q_hat, S):
     """Tangency matrices (E_S, F_S) for a proper subset, or G for the full set."""
     qv = q_hat.q if isinstance(q_hat, MbtcParams) else np.asarray(q_hat, dtype=float)
-    idx = np.array(sorted(int(m) for m in S), dtype=int)
-    comp = np.setdiff1d(np.arange(model.M), idx)
+    _, idx, comp = next(by_complement_size(_membership(S, model.M)[None, :]))
     E, F = _expansion(model.sigma_x, qv, idx, comp)
-    return (E, F) if comp.size else F
+    return (E[0], F[0]) if comp.size else F[0]
 
 
-def _tangent_row(sigma: np.ndarray, idx: np.ndarray, comp: np.ndarray, E, F):
-    """Weights w and constant k of the majorant chi_S + xi_S of the subset
-    mutual information, w . q - 0.5 * sum_{m in S} log2(q_m) + k, tight where
-    (E, F) were formed. The full set is the subset with an empty complement.
+def _tangent_rows(sigma: np.ndarray, idx: np.ndarray, comp: np.ndarray, E, F):
+    """Weights w (n, M) and constants k (n,) of the majorants chi_S + xi_S of
+    n subset mutual informations, w . q - 0.5 * sum_{m in S} log2(q_m) + k,
+    each tight where its (E, F) were formed. Subsets share one size and come
+    as in _expansion; the full set is the subset with an empty complement.
     """
     f_inv = np.linalg.inv(F)
-    w = np.zeros(sigma.shape[0])
-    w[idx] = HALF_LOG2E * np.diag(f_inv)
-    w[comp] = HALF_LOG2E * np.diag(E.T @ f_inv @ E)
-    cross = sigma[np.ix_(idx, comp)]
+    E_t = E.swapaxes(1, 2)
+    cross = _blocks(sigma, idx, comp)
+    w = np.zeros((idx.shape[0], sigma.shape[0]))
+    np.put_along_axis(w, idx, HALF_LOG2E * np.diagonal(f_inv, axis1=1, axis2=2), axis=1)
+    np.put_along_axis(
+        w, comp, HALF_LOG2E * np.diagonal(E_t @ f_inv @ E, axis1=1, axis2=2), axis=1
+    )
     inner = (
-        sigma[np.ix_(idx, idx)]
-        + E @ sigma[np.ix_(comp, comp)] @ E.T
-        - E @ cross.T
-        - cross @ E.T
+        _blocks(sigma, idx, idx)
+        + E @ _blocks(sigma, comp, comp) @ E_t
+        - E @ cross.swapaxes(1, 2)
+        - cross @ E_t
     )
     const = (
         0.5 * np.linalg.slogdet(F)[1] * LOG2E
-        + HALF_LOG2E * float(np.trace(f_inv @ inner))
-        - idx.size * HALF_LOG2E
+        + HALF_LOG2E * np.trace(f_inv @ inner, axis1=1, axis2=2)
+        - idx.shape[1] * HALF_LOG2E
     )
     return w, const
 
@@ -79,16 +99,15 @@ def chi_xi(model: GaussianSourceModel, E, F, q, S) -> float:
     For the full set, pass E = None and F = G.
     """
     qv = q.q if isinstance(q, MbtcParams) else np.asarray(q, dtype=float)
-    idx = np.array(sorted(int(m) for m in S), dtype=int)
-    comp = np.setdiff1d(np.arange(model.M), idx)
+    _, idx, comp = next(by_complement_size(_membership(S, model.M)[None, :]))
     F = np.atleast_2d(np.asarray(F, dtype=float))
     try:
         np.linalg.cholesky(F)
     except np.linalg.LinAlgError:
         raise ValueError("F (or G) must be positive definite") from None
     E = np.reshape(np.asarray([] if E is None else E, dtype=float), (idx.size, comp.size))
-    w, const = _tangent_row(model.sigma_x, idx, comp, E, F)
-    return float(w @ qv - 0.5 * np.sum(np.log2(qv[idx])) + const)
+    w, const = _tangent_rows(model.sigma_x, idx, comp, E[None], F[None])
+    return float(w[0] @ qv - 0.5 * np.sum(np.log2(qv[idx[0]])) + const[0])
 
 
 @dataclass(frozen=True)
@@ -141,10 +160,9 @@ def build_surrogate(
     members = all_subsets(model.M)
     lin = np.empty(members.shape)
     consts = np.empty(members.shape[0])
-    for i, row in enumerate(members):
-        idx, comp = np.flatnonzero(row), np.flatnonzero(~row)
+    for rows, idx, comp in by_complement_size(members):
         E, F = _expansion(sigma, qv, idx, comp)
-        lin[i], consts[i] = _tangent_row(sigma, idx, comp, E, F)
+        lin[rows], consts[rows] = _tangent_rows(sigma, idx, comp, E, F)
     return SurrogateProblem(
         objective_weights=b**2,
         masks=tuple(range(1, 1 << model.M)),

@@ -45,6 +45,22 @@ def _membership(S, M: int) -> np.ndarray:
     return row
 
 
+def by_complement_size(members: np.ndarray):
+    """Group the rows of an (n, M) membership matrix by complement size.
+
+    Yields (rows, idx, comp) per size in increasing order: the row numbers
+    and the ascending device indices inside, (len(rows), |S|), and outside,
+    (len(rows), |S^c|), each row's subset.
+    """
+    outside = ~members
+    sizes = outside.sum(axis=1)
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        idx = np.nonzero(members[rows])[1].reshape(rows.size, members.shape[1] - k)
+        comp = np.nonzero(outside[rows])[1].reshape(rows.size, k)
+        yield rows, idx, comp
+
+
 def _logdet2(a: np.ndarray):
     """log2-determinant of a (stack of) positive definite matrices."""
     sign, logdet = np.linalg.slogdet(a)
@@ -64,14 +80,11 @@ def _required_bits(model: GaussianSourceModel, q, members: np.ndarray) -> np.nda
     live = ~np.isposinf(qv)
     q_live = qv[live]
     inside = members[:, live]
-    outside = ~inside
     block = model.sigma_x[np.ix_(live, live)] + np.diag(q_live)
     comp_logdet = np.zeros(inside.shape[0])
-    sizes = outside.sum(axis=1)
-    for k in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == k)
-        comp = np.nonzero(outside[rows])[1].reshape(rows.size, k)
-        comp_logdet[rows] = _logdet2(block[comp[:, :, None], comp[:, None, :]])
+    for rows, _, comp in by_complement_size(inside):
+        if comp.shape[1]:
+            comp_logdet[rows] = _logdet2(block[comp[:, :, None], comp[:, None, :]])
     log_q = np.sum(np.where(inside, np.log2(q_live), 0.0), axis=1)
     bits = 0.5 * (_logdet2(block) - comp_logdet - log_q)
     return np.where(inside.any(axis=1), bits, 0.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedagg.mm_general import (
     OptimizeResult,
@@ -14,7 +15,14 @@ from fedagg.mm_general import (
     solve_surrogate,
 )
 from fedagg.model import GaussianSourceModel, MbtcParams, RateBudget, symmetric_covariance
-from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
+from fedagg.region import (
+    _required_bits,
+    all_subsets,
+    cond_mutual_info,
+    distortion,
+    is_feasible,
+    sum_mutual_info,
+)
 from oracles import grid_search
 
 
@@ -106,6 +114,30 @@ class TestSurrogate:
                 exact = cond_mutual_info(model, q_hat, S)
                 bud = float(np.sum(budget.r[S]))
             assert val == pytest.approx(exact - bud, abs=1e-9)
+
+    @settings(max_examples=40)
+    @given(M=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_batched_rows_tight_majorizing_and_match_chi_xi(self, M, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((M, M + 3))
+        model = GaussianSourceModel(sigma_x=g @ g.T / (M + 3), c=np.ones(M))
+        q_hat = rng.uniform(0.1, 3.0, size=M)
+        q = rng.uniform(0.1, 3.0, size=M)
+        # Each device's budget is the whole sum-rate, so q_hat is feasible.
+        budget = RateBudget(np.full(M, sum_mutual_info(model, q_hat)))
+        prob = build_surrogate(model, budget, q_hat)
+        members = all_subsets(M)
+        rows_at_hat = prob.constraint_values(q_hat) + prob.budgets
+        rows_at_q = prob.constraint_values(q) + prob.budgets
+        np.testing.assert_allclose(
+            rows_at_hat, _required_bits(model, q_hat, members), rtol=0, atol=1e-9
+        )
+        assert np.all(rows_at_q - _required_bits(model, q, members) >= -1e-9)
+        for row, value in zip(members, rows_at_q):
+            S = np.flatnonzero(row)
+            em = expansion_matrices(model, q_hat, S)
+            E, F = em if isinstance(em, tuple) else (None, em)
+            assert chi_xi(model, E, F, q, S) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
     def test_rejects_infeasible_expansion(self):
         model = GaussianSourceModel(sigma_x=np.eye(2), c=np.ones(2))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fedagg import mm_symmetric
 from fedagg.mm_general import optimize
 from fedagg.mm_symmetric import (
+    _ThetaUpConstraints,
     enumerate_selections,
     optimize_symmetric,
     symmetric_distortion,
@@ -14,6 +16,21 @@ from fedagg.mm_symmetric import (
 )
 from fedagg.model import MbtcParams, SymmetricSourceModel
 from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
+from test_barrier import CountingConstraints
+
+
+def count_barrier_evaluations(monkeypatch):
+    """Route every barrier solve of mm_symmetric through CountingConstraints;
+    the returned list collects the wrappers."""
+    wrappers = []
+    solver = mm_symmetric.minimize_linear
+
+    def counted(f, cons, *args, **kwargs):
+        wrappers.append(CountingConstraints(cons))
+        return solver(f, wrappers[-1], *args, **kwargs)
+
+    monkeypatch.setattr(mm_symmetric, "minimize_linear", counted)
+    return wrappers
 
 
 class TestEnumerateSelections:
@@ -133,3 +150,24 @@ class TestOptimizeSymmetric:
         model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((2, 1.0),))
         with pytest.raises(ValueError):
             optimize_symmetric(model, lam=0.0)
+
+    def test_grouped_workload_evaluation_count(self, monkeypatch):
+        # 3 groups of 20 devices at rho 0.9 (9,260 selection rows): stalled
+        # barrier stages end early instead of running to the stage cap.
+        wrappers = count_barrier_evaluations(monkeypatch)
+        groups = ((20, 1.0), (20, 2.0), (20, 3.0))
+        optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
+        assert wrappers
+        assert sum(w.values for w in wrappers) <= 10_000
+
+    def test_converges_where_newton_budget_ran_out(self):
+        # Once raised SolverError (Newton budget exhausted): stalled stages
+        # repeated their last step up to the 40-step stage cap.
+        groups = ((20, 1.1926), (20, 1.55), (20, 1.5772))
+        model = SymmetricSourceModel(rho=0.7018, sigma2=1.0, groups=groups)
+        res = optimize_symmetric(model, 1 / 60)
+        sel = enumerate_selections(model.group_sizes)
+        assert sel.shape[0] == 9260
+        slack = _ThetaUpConstraints(model, sel, res.q_groups).value(res.q_groups)
+        assert np.all(slack <= 1e-9)
+        assert slack.max() >= -1e-6
