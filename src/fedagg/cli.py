@@ -152,18 +152,18 @@ def cmd_sweep(args) -> int:
 
 def _make_aggregator(spec_text, budget_rates, M):
     if spec_text == "error-free":
-        return flharness.error_free_aggregator()
+        return simulate.error_free_aggregator()
     if spec_text.startswith("qsgd:"):
-        return flharness.qsgd_aggregator(int(spec_text.split(":", 1)[1]))
+        return simulate.qsgd_aggregator(int(spec_text.split(":", 1)[1]))
     if spec_text.startswith("uniform:"):
-        return flharness.uniform_aggregator(int(spec_text.split(":", 1)[1]))
+        return simulate.uniform_aggregator(int(spec_text.split(":", 1)[1]))
     if spec_text == "mbtc":
         if budget_rates is None:
             raise ValueError("--budget is required for the mbtc aggregator")
         rates = _parse_rates(budget_rates)
         if len(rates) == 1:
             rates = rates * M
-        return flharness.mbtc_aggregator(RateBudget(np.asarray(rates)))
+        return simulate.mbtc_aggregator(RateBudget(np.asarray(rates)))
     raise ValueError(f"unknown aggregator {spec_text!r}")
 
 

@@ -12,15 +12,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import RateBudget
 from .seeds import seed_stream
-from .simulate import (
+from .simulate import (  # noqa: F401  - aggregators are imported from here too
     baseline_aggregate,
-    mbtc_aggregate,
-    qsgd_quantize,
-    rotated_uniform_quantize,
+    error_free_aggregator,
+    mbtc_aggregator,
+    qsgd_aggregator,
+    uniform_aggregator,
 )
-from .transform import DeviceUpdateBatch
 
 
 @dataclass(frozen=True)
@@ -112,52 +111,6 @@ def multi_epoch_local_update(theta, task: QuadraticTask, m: int, steps: int, lr:
     for _ in range(steps):
         local = local - lr * local_gradient(local, task, m)
     return np.asarray(theta, dtype=float) - local
-
-
-def error_free_aggregator():
-    def aggregate(gradients, c, round_seed):
-        return baseline_aggregate(gradients, c), np.full(len(gradients), np.inf)
-
-    return aggregate
-
-
-def qsgd_aggregator(s: int):
-    def aggregate(gradients, c, round_seed):
-        quantized, charges = [], []
-        for m, g in enumerate(gradients):
-            qv, bits = qsgd_quantize(g, s, seed_stream(round_seed, "dev", m))
-            quantized.append(qv)
-            charges.append(bits)
-        return baseline_aggregate(quantized, c), np.array(charges)
-
-    return aggregate
-
-
-def uniform_aggregator(bits_per_element: int):
-    def aggregate(gradients, c, round_seed):
-        quantized, charges = [], []
-        for m, g in enumerate(gradients):
-            qv, bits = rotated_uniform_quantize(
-                g, bits_per_element, seed_stream(round_seed, "dev", m)
-            )
-            quantized.append(qv)
-            charges.append(bits)
-        return baseline_aggregate(quantized, c), np.array(charges)
-
-    return aggregate
-
-
-def mbtc_aggregator(budget: RateBudget, optimizer_choice: str = "symmetric"):
-    def aggregate(gradients, c, round_seed):
-        batch = DeviceUpdateBatch(
-            updates=np.stack(gradients),
-            rotation_seed=seed_stream(round_seed, "rotation"),
-            segment_len=min(1024, len(gradients[0])),
-        )
-        res = mbtc_aggregate(batch, c, budget, optimizer_choice, seed=round_seed)
-        return res.estimate, res.rate_report
-
-    return aggregate
 
 
 def fl_round(theta, task: QuadraticTask, aggregator, eta: float, round_seed: int = 0):

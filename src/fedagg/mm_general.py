@@ -19,18 +19,6 @@ from .region import LOG2E, _membership, all_subsets, by_complement_size, distort
 HALF_LOG2E = 0.5 * LOG2E
 
 
-def quad_form_lower_bound(a, b, B) -> float:
-    """Lower bound 2 a'b - b'Bb of the quadratic form a'B^{-1}a; B must be PD."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        raise ValueError("B must be positive definite") from None
-    return float(2.0 * a @ b - b @ B @ b)
-
-
 def _expansion(sigma: np.ndarray, qv: np.ndarray, idx: np.ndarray, comp: np.ndarray):
     """Stacked (E_S, F_S) at qv for n subsets of one size, given as (n, |S|)
     and (n, |S^c|) device indices. An empty complement gives E of width 0
@@ -216,6 +204,29 @@ class OptimizeResult:
     iterates: tuple = ()  # q vector per iteration, starting at the initializer
 
 
+def mm_loop(q0: np.ndarray, objective, step, eps: float, max_iter: int):
+    """MM driver of both optimizers: q -> step(q) while the objective (to be
+    maximized) rises by more than the fraction eps; returns (q, objective
+    trace, iterates from q0 on, iterations). A step that lowers the objective,
+    or makes it NaN, is a numerical regression: keep q, repeat the last
+    objective, and stop."""
+    q, obj = q0, objective(q0)
+    trace, iterates = [obj], [q0.copy()]
+    for _ in range(max_iter):
+        q_new = step(q)
+        obj_new = objective(q_new)
+        if not obj_new >= obj:
+            trace.append(obj)
+            break
+        q = q_new
+        trace.append(obj_new)
+        iterates.append(q.copy())
+        if (obj_new - obj) <= eps * max(abs(obj), 1e-300):
+            break
+        obj = obj_new
+    return q, tuple(trace), tuple(iterates), len(trace) - 1
+
+
 def optimize(
     model: GaussianSourceModel,
     budget: RateBudget,
@@ -224,32 +235,18 @@ def optimize(
 ) -> OptimizeResult:
     """MM loop: surrogate construction + barrier solve until the fractional
     increase of the original objective drops below eps."""
-    q = find_feasible_init(model, budget)
-    obj = _original_objective(model, q.q)
-    trace = [obj]
-    iterates = [q.q.copy()]
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        problem = build_surrogate(model, budget, q)
-        q_new = solve_surrogate(problem)
-        obj_new = _original_objective(model, q_new.q)
-        if obj_new >= obj:
-            q = q_new
-            trace.append(obj_new)
-            iterates.append(q.q.copy())
-        else:
-            # Numerical regression; keep the better iterate and stop.
-            trace.append(obj)
-            break
-        if (obj_new - obj) <= eps * max(abs(obj), 1e-300):
-            obj = obj_new
-            break
-        obj = obj_new
+    q, trace, iterates, iterations = mm_loop(
+        find_feasible_init(model, budget).q,
+        lambda q: _original_objective(model, q),
+        lambda q: solve_surrogate(build_surrogate(model, budget, q)).q,
+        eps,
+        max_iter,
+    )
+    q = MbtcParams(q)
     return OptimizeResult(
         q=q,
         distortion=distortion(model, q),
-        trace=tuple(trace),
+        trace=trace,
         iterations=iterations,
-        iterates=tuple(iterates),
+        iterates=iterates,
     )

@@ -15,6 +15,7 @@ import numpy as np
 
 from .barrier import ConstraintSet, interior_start, minimize_linear
 from .errors import SolverError
+from .mm_general import mm_loop
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 from .region import LOG2E
 
@@ -166,42 +167,31 @@ def optimize_symmetric(
         raise ValueError("lambda must be nonzero")
     sizes = model.group_sizes
     selections = enumerate_selections(sizes)
-    q = _find_feasible_groups(model, selections)
-    obj = symmetric_objective(model.rho, model.sigma2, sizes, q)
-    obj_trace = [obj]
-    d_trace = [symmetric_distortion(model, lam, q)]
-    iterates = [q.copy()]
-    iterations = 0
     a = (1.0 - model.rho) * model.sigma2
-    for _ in range(max_iter):
-        iterations += 1
+
+    def step(q):
         cons = _ThetaUpConstraints(model, selections, q)
         # Surrogate objective: minimize sum_j M_j q_j / (q_hat_j + a)^2.
         f = sizes.astype(float) / (q + a) ** 2
         q0 = interior_start(cons.value, q, Q_MIN)
-        q_new = np.maximum(minimize_linear(f, cons, q0, x_min=Q_MIN), Q_MIN)
-        obj_new = symmetric_objective(model.rho, model.sigma2, sizes, q_new)
-        if obj_new >= obj:
-            q = q_new
-            obj_trace.append(obj_new)
-            d_trace.append(symmetric_distortion(model, lam, q))
-            iterates.append(q.copy())
-        else:
-            obj_trace.append(obj)
-            d_trace.append(d_trace[-1])
-            break
-        if (obj_new - obj) <= eps * max(abs(obj), 1e-300):
-            obj = obj_new
-            break
-        obj = obj_new
-    per_device = np.repeat(q, sizes)
+        return np.maximum(minimize_linear(f, cons, q0, x_min=Q_MIN), Q_MIN)
+
+    q, obj_trace, iterates, iterations = mm_loop(
+        _find_feasible_groups(model, selections),
+        lambda q: symmetric_objective(model.rho, model.sigma2, sizes, q),
+        step,
+        eps,
+        max_iter,
+    )
+    d_trace = [symmetric_distortion(model, lam, x) for x in iterates]
+    d_trace += d_trace[-1:] * (len(obj_trace) - len(d_trace))  # after a regression
     return SymmetricOptimizeResult(
-        q=MbtcParams(per_device),
+        q=MbtcParams(np.repeat(q, sizes)),
         q_groups=q,
         distortion=symmetric_distortion(model, lam, q),
         trace=tuple(d_trace),
-        objective_trace=tuple(obj_trace),
+        objective_trace=obj_trace,
         iterations=iterations,
         n_constraints=selections.shape[0],
-        iterates=tuple(iterates),
+        iterates=iterates,
     )

@@ -103,36 +103,24 @@ def sum_mutual_info(model: GaussianSourceModel, q) -> float:
     return float(_required_bits(model, q, np.ones((1, model.M), dtype=bool))[0])
 
 
-def _finite_part(model: GaussianSourceModel, qv: np.ndarray):
-    """Silent devices (q = +inf) drop out of the combiner exactly."""
-    finite = np.isfinite(qv)
-    sigma = model.sigma_x
-    a = sigma @ model.c
-    return finite, sigma, a
-
-
 def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
-    """Weights w with Y_hat = w^T u; silent devices get weight zero."""
+    """Weights w with Y_hat = w^T u; silent devices (q = +inf) get weight zero."""
     qv = _qvec(q)
-    finite, sigma, a = _finite_part(model, qv)
     w = np.zeros(model.M)
-    if finite.any():
-        f = np.where(finite)[0]
+    f = np.flatnonzero(np.isfinite(qv))
+    if f.size:
+        sigma = model.sigma_x
         block = sigma[np.ix_(f, f)] + np.diag(qv[f])
-        w[f] = np.linalg.solve(block, a[f])
+        w[f] = np.linalg.solve(block, (sigma @ model.c)[f])
     return w
 
 
 def distortion(model: GaussianSourceModel, q) -> float:
     """Aggregation distortion v(q) = c'Sc - c'S(S+Q)^{-1}Sc, clamped at zero."""
-    qv = _qvec(q)
-    finite, sigma, a = _finite_part(model, qv)
-    total = float(model.c @ sigma @ model.c)
-    if finite.any():
-        f = np.where(finite)[0]
-        block = sigma[np.ix_(f, f)] + np.diag(qv[f])
-        total -= float(a[f] @ np.linalg.solve(block, a[f]))
-    return max(total, 0.0)
+    f = np.isfinite(_qvec(q))
+    a = model.sigma_x @ model.c
+    w = mmse_combiner(model, q)
+    return max(float(model.c @ model.sigma_x @ model.c) - float(a[f] @ w[f]), 0.0)
 
 
 def _constraint_columns(model: GaussianSourceModel, q, budget: RateBudget):

@@ -1,6 +1,11 @@
 """End-to-end aggregation simulation: the noise-addition surrogate for the
 achievability scheme, baseline quantizers, and distortion/rate measurement.
 
+Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
+(estimate of c @ vectors, charged bits per device). A call with seed s rotates
+every device by the public seed seed_stream(s, "rotation"), and device m draws
+its dither from seed_stream(s, "dev", m).
+
 Rates are charged honestly: baselines from their actual emitted symbol
 widths, the surrogate analytically from the mutual-information values at the
 optimized parameters (labeled "surrogate" in outputs).
@@ -208,57 +213,75 @@ def qsgd_levels_for_rate(rate_bits: float) -> int:
     return max(2**budget - 1, 1) if budget >= 1 else 1
 
 
+def _per_device(quantize):
+    """Aggregator over a quantizer (v, m, seed) -> (v_hat, charged bits) of device m."""
+
+    def aggregate(vectors, c, seed):
+        quantized, charges = zip(*(quantize(v, m, seed) for m, v in enumerate(vectors)))
+        return baseline_aggregate(quantized, c), np.array(charges)
+
+    return aggregate
+
+
+def error_free_aggregator():
+    """Exact weighted sum; no finite rate is charged."""
+    return _per_device(lambda v, m, seed: (v, np.inf))
+
+
+def qsgd_aggregator(s: int):
+    """Each device quantized by QSGD with s levels and its own dither."""
+    return _per_device(lambda v, m, seed: qsgd_quantize(v, s, seed_stream(seed, "dev", m)))
+
+
+def uniform_aggregator(bits_per_element: int):
+    """Each device rotated by the public rotation and quantized uniformly."""
+    return _per_device(
+        lambda v, m, seed: rotated_uniform_quantize(
+            v, bits_per_element, seed_stream(seed, "rotation")
+        )
+    )
+
+
+def mbtc_aggregator(budget: RateBudget):
+    """The mbtc pipeline with the grouped optimizer, charged its singleton rates."""
+
+    def aggregate(vectors, c, seed):
+        batch = DeviceUpdateBatch(
+            updates=np.stack(vectors), rotation_seed=seed_stream(seed, "rotation")
+        )
+        res = mbtc_aggregate(batch, c, budget, optimizer_choice="symmetric", seed=seed)
+        return res.estimate, res.rate_report
+
+    return aggregate
+
+
+_SWEEP_AGGREGATORS = {
+    "mbtc": lambda M, rate: mbtc_aggregator(RateBudget(np.full(M, rate))),
+    "qsgd": lambda M, rate: qsgd_aggregator(qsgd_levels_for_rate(rate)),
+    "uniform": lambda M, rate: uniform_aggregator(max(1, int(math.floor(rate)))),
+}
+
+
 def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
     """Distortion-vs-rate sweep on synthetic sources.
 
-    Yields rows (scheme, rho, rate_bits, charged_bits, distortion, seed).
-    Baseline charged rates may exceed the nominal rate when the nominal rate
-    is below the scheme's minimum emission width.
+    Yields rows (scheme, rho, rate_bits, charged_bits, distortion, seed),
+    each from one aggregator call with the row's own run seed. Baseline
+    charged rates may exceed the nominal rate when the nominal rate is below
+    the scheme's minimum emission width.
     """
+    if not set(schemes) <= _SWEEP_AGGREGATORS.keys():
+        raise ValueError(f"unknown scheme in {tuple(schemes)!r}")
     rows = []
     c = np.full(M, 1.0 / M)
-    # One public rotation seed for the whole sweep; per-row randomness
-    # (noise, quantizer dithers) still comes from per-run streams.
-    rotation_seed = seed_stream(seed, "rotation")
     for rho in rhos:
-        src_seed = seed_stream(seed, "sources", float(rho))
-        sources = synthetic_sources(rho, M, N, src_seed)
+        sources = synthetic_sources(rho, M, N, seed_stream(seed, "sources", float(rho)))
         target = baseline_aggregate(sources, c)
         for rate in rates:
             for scheme in schemes:
+                aggregate = _SWEEP_AGGREGATORS[scheme](M, float(rate))
                 run_seed = seed_stream(seed, "run", scheme, float(rho), float(rate))
-                if scheme == "mbtc":
-                    batch = DeviceUpdateBatch(
-                        updates=np.stack(sources), rotation_seed=rotation_seed
-                    )
-                    res = mbtc_aggregate(
-                        batch,
-                        c,
-                        RateBudget(np.full(M, float(rate))),
-                        optimizer_choice="symmetric",
-                        seed=run_seed,
-                    )
-                    dist = res.empirical_distortion
-                    charged = float(np.max(res.rate_report))
-                elif scheme == "qsgd":
-                    s = qsgd_levels_for_rate(rate)
-                    quantized, charges = [], []
-                    for m, y in enumerate(sources):
-                        qv, bits = qsgd_quantize(y, s, seed_stream(run_seed, "dev", m))
-                        quantized.append(qv)
-                        charges.append(bits)
-                    dist = measure_distortion(target, baseline_aggregate(quantized, c))
-                    charged = float(np.max(charges))
-                elif scheme == "uniform":
-                    bits = max(1, int(math.floor(rate)))
-                    quantized, charges = [], []
-                    for m, y in enumerate(sources):
-                        qv, charge = rotated_uniform_quantize(y, bits, rotation_seed)
-                        quantized.append(qv)
-                        charges.append(charge)
-                    dist = measure_distortion(target, baseline_aggregate(quantized, c))
-                    charged = float(np.max(charges))
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
-                rows.append((scheme, float(rho), float(rate), charged, dist, seed))
+                estimate, charges = aggregate(sources, c, run_seed)
+                dist = measure_distortion(target, estimate)
+                rows.append((scheme, float(rho), float(rate), float(np.max(charges)), dist, seed))
     return rows

@@ -1,5 +1,5 @@
 """Data pre/post-processing: mean removal, segmented random rotation, inverse
-transform, synthetic correlated-update generators, and Gaussianization checks.
+transform, and the update-batch container.
 
 Segments are rotated by a randomized Hartley transform (FFT, no stored matrix);
 the shared randomness is modeled by a 64-bit seed carried with the batch.
@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import empirical_covariance
 from .seeds import seed_stream
 
 DEFAULT_SEGMENT_LEN = 1024
@@ -134,64 +133,3 @@ class DeviceUpdateBatch:
             raise ValueError(f"header M={m}, N={n}, segment_len={seg} for {len(blob)} bytes")
         body = np.frombuffer(blob, dtype="<f8", offset=32).reshape(m, n)
         return cls(updates=body.copy(), rotation_seed=seed, segment_len=seg)
-
-
-@dataclass(frozen=True)
-class Assumption1Spec:
-    """Linear-combination source model: updates = coefficients @ base vectors."""
-
-    coefficients: np.ndarray  # (M, K)
-    taus: np.ndarray  # (K,)
-    anisotropic_first: bool = False
-
-    def __post_init__(self):
-        e = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
-        taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
-        if e.shape[1] != taus.shape[0]:
-            raise ValueError("coefficient columns must match len(taus)")
-        if not np.all(taus > 0):
-            raise ValueError("taus must be positive")
-        object.__setattr__(self, "coefficients", e)
-        object.__setattr__(self, "taus", taus)
-
-    def limit_covariance(self) -> np.ndarray:
-        """E diag(tau^2) E^T, the asymptotic cross-moment matrix."""
-        return self.coefficients @ np.diag(self.taus**2) @ self.coefficients.T
-
-
-def assumption1_sources(spec: Assumption1Spec, N: int, seed: int):
-    """Draw base vectors and mix them into M update vectors.
-
-    When anisotropic_first is set, the first base vector is a fixed-direction
-    spike plus Gaussian noise (still satisfying the norm-energy condition).
-    """
-    k = spec.taus.shape[0]
-    base = np.empty((k, N))
-    for i in range(k):
-        rng = np.random.default_rng(seed_stream(seed, "base", i))
-        z = rng.standard_normal(N)
-        if i == 0 and spec.anisotropic_first:
-            beta = 0.5
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            spike = np.zeros(N)
-            spike[0] = sign * np.sqrt(N)
-            base[i] = spec.taus[i] * (np.sqrt(1.0 - beta**2) * z + beta * spike)
-        else:
-            base[i] = spec.taus[i] * z
-    return [spec.coefficients[m] @ base for m in range(spec.coefficients.shape[0])]
-
-
-def gaussianization_check(rotated, pre_rotation) -> dict:
-    """Covariance preservation plus per-device excess kurtosis after rotation."""
-    x = np.atleast_2d(np.asarray(rotated, dtype=float))
-    n = x.shape[1]
-    if n < 10**4:
-        raise ValueError("need N >= 1e4 for a meaningful check")
-    post = x @ x.T / n
-    pre = empirical_covariance(pre_rotation)
-    cov_err = float(np.abs(post - pre).max())
-    centered = x - x.mean(axis=1, keepdims=True)
-    m2 = np.mean(centered**2, axis=1)
-    m4 = np.mean(centered**4, axis=1)
-    kurt = m4 / m2**2 - 3.0
-    return {"covariance_error": cov_err, "excess_kurtosis": kurt}

@@ -3,13 +3,18 @@
 These deliberately avoid the library's closed-form code paths: the grid
 search re-derives determinants from principal-minor expansions, and the
 Monte-Carlo oracles estimate information/distortion quantities from samples.
+The reference formulas and source generators at the end serve only the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from fedagg.model import empirical_covariance
+from fedagg.seeds import seed_stream
 
 LOG2E = 1.0 / np.log(2.0)
 
@@ -218,3 +223,76 @@ def power_iteration_extremes(h: np.ndarray, iters=20000, seed=0):
     shift = top * (1 + 1e-6)
     bottom = shift - dominant(shift * np.eye(n) - h)
     return bottom, top
+
+
+def quad_form_lower_bound(a, b, B) -> float:
+    """Lower bound 2 a'b - b'Bb of the quadratic form a'B^{-1}a; B must be PD."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        raise ValueError("B must be positive definite") from None
+    return float(2.0 * a @ b - b @ B @ b)
+
+
+@dataclass(frozen=True)
+class Assumption1Spec:
+    """Linear-combination source model: updates = coefficients @ base vectors."""
+
+    coefficients: np.ndarray  # (M, K)
+    taus: np.ndarray  # (K,)
+    anisotropic_first: bool = False
+
+    def __post_init__(self):
+        e = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
+        taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
+        if e.shape[1] != taus.shape[0]:
+            raise ValueError("coefficient columns must match len(taus)")
+        if not np.all(taus > 0):
+            raise ValueError("taus must be positive")
+        object.__setattr__(self, "coefficients", e)
+        object.__setattr__(self, "taus", taus)
+
+    def limit_covariance(self) -> np.ndarray:
+        """E diag(tau^2) E^T, the asymptotic cross-moment matrix."""
+        return self.coefficients @ np.diag(self.taus**2) @ self.coefficients.T
+
+
+def assumption1_sources(spec: Assumption1Spec, N: int, seed: int):
+    """Draw base vectors and mix them into M update vectors.
+
+    When anisotropic_first is set, the first base vector is a fixed-direction
+    spike plus Gaussian noise (still satisfying the norm-energy condition).
+    """
+    k = spec.taus.shape[0]
+    base = np.empty((k, N))
+    for i in range(k):
+        rng = np.random.default_rng(seed_stream(seed, "base", i))
+        z = rng.standard_normal(N)
+        if i == 0 and spec.anisotropic_first:
+            beta = 0.5
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            spike = np.zeros(N)
+            spike[0] = sign * np.sqrt(N)
+            base[i] = spec.taus[i] * (np.sqrt(1.0 - beta**2) * z + beta * spike)
+        else:
+            base[i] = spec.taus[i] * z
+    return [spec.coefficients[m] @ base for m in range(spec.coefficients.shape[0])]
+
+
+def gaussianization_check(rotated, pre_rotation) -> dict:
+    """Covariance preservation plus per-device excess kurtosis after rotation."""
+    x = np.atleast_2d(np.asarray(rotated, dtype=float))
+    n = x.shape[1]
+    if n < 10**4:
+        raise ValueError("need N >= 1e4 for a meaningful check")
+    post = x @ x.T / n
+    pre = empirical_covariance(pre_rotation)
+    cov_err = float(np.abs(post - pre).max())
+    centered = x - x.mean(axis=1, keepdims=True)
+    m2 = np.mean(centered**2, axis=1)
+    m4 = np.mean(centered**4, axis=1)
+    kurt = m4 / m2**2 - 3.0
+    return {"covariance_error": cov_err, "excess_kurtosis": kurt}

@@ -36,11 +36,10 @@ from fedagg.seeds import seed_stream
 from fedagg.simulate import mbtc_aggregate, sweep_distortion, synthetic_sources
 from fedagg.transform import (
     DeviceUpdateBatch,
-    gaussianization_check,
     haar_derotate,
     haar_rotate,
 )
-from oracles import grid_search
+from oracles import gaussianization_check, grid_search
 
 
 def report(num: int, name: str, ok: bool) -> bool:

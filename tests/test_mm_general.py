@@ -10,7 +10,7 @@ from fedagg.mm_general import (
     chi_xi,
     expansion_matrices,
     find_feasible_init,
-    quad_form_lower_bound,
+    mm_loop,
     optimize,
     solve_surrogate,
 )
@@ -23,7 +23,7 @@ from fedagg.region import (
     is_feasible,
     sum_mutual_info,
 )
-from oracles import grid_search
+from oracles import grid_search, quad_form_lower_bound
 
 
 def random_model(rng, M):
@@ -197,3 +197,30 @@ class TestOptimize:
         assert res.distortion == pytest.approx(
             distortion(model, res.q), abs=1e-12
         )
+
+
+class TestMmLoop:
+    def test_regression_keeps_previous_q(self):
+        # The objective rises for two steps, then falls on the third.
+        objective = {1.0: 1.0, 2.0: 2.0, 3.0: 3.0, 4.0: 2.5}
+        q, trace, iterates, iterations = mm_loop(
+            np.array([1.0]), lambda q: objective[q[0]], lambda q: q + 1.0, 1e-6, 50
+        )
+        assert q.tolist() == [3.0]
+        assert trace == (1.0, 2.0, 3.0, 3.0)
+        assert [x.tolist() for x in iterates] == [[1.0], [2.0], [3.0]]
+        assert iterations == 3
+        q, trace, _, iterations = mm_loop(
+            np.array([1.0]), lambda q: 1.0 if q[0] == 1.0 else np.nan, lambda q: q + 1.0, 1e-6, 50
+        )
+        assert (q.tolist(), trace, iterations) == ([1.0], (1.0, 1.0), 1)
+
+    def test_stops_on_small_increase_and_max_iter(self):
+        q, trace, iterates, iterations = mm_loop(
+            np.array([0.0]), lambda q: 1.0 + 1e-9 * q[0], lambda q: q + 1.0, 1e-6, 50
+        )
+        assert (q.tolist(), iterations, len(trace), len(iterates)) == ([1.0], 1, 2, 2)
+        q, trace, iterates, iterations = mm_loop(
+            np.array([0.0]), lambda q: q[0], lambda q: q + 1.0, 1e-6, 4
+        )
+        assert (q.tolist(), trace, iterations) == ([4.0], (0.0, 1.0, 2.0, 3.0, 4.0), 4)

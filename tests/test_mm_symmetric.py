@@ -137,6 +137,7 @@ class TestOptimizeSymmetric:
         res = optimize_symmetric(model, lam=0.2)
         assert np.all(np.diff(np.array(res.objective_trace)) >= -1e-12)
         assert np.all(np.diff(np.array(res.trace)) <= 1e-12)
+        assert len(res.trace) == len(res.objective_trace)
 
     def test_constraint_count_and_feasibility(self):
         model = SymmetricSourceModel(rho=0.6, sigma2=1.0, groups=((2, 1.0), (3, 1.5)))
@@ -171,3 +172,22 @@ class TestOptimizeSymmetric:
         slack = _ThetaUpConstraints(model, sel, res.q_groups).value(res.q_groups)
         assert np.all(slack <= 1e-9)
         assert slack.max() >= -1e-6
+
+    def test_regression_step_repeats_last_distortion(self, monkeypatch):
+        # A second surrogate solve that lands on larger q lowers the recast
+        # objective: the MM keeps the first iterate and stops.
+        solver = mm_symmetric.minimize_linear
+        calls = []
+
+        def worse_second(f, cons, x0, **kwargs):
+            calls.append(1)
+            return solver(f, cons, x0, **kwargs) if len(calls) == 1 else 2.0 * x0
+
+        monkeypatch.setattr(mm_symmetric, "minimize_linear", worse_second)
+        model = SymmetricSourceModel(rho=0.8, sigma2=1.0, groups=((3, 1.0), (2, 2.0)))
+        res = optimize_symmetric(model, lam=0.2)
+        assert res.iterations == 2 and len(res.iterates) == 2
+        assert len(res.trace) == len(res.objective_trace) == 3
+        assert res.trace[-1] == res.trace[-2] == res.distortion
+        assert res.objective_trace[-1] == res.objective_trace[-2]
+        assert np.array_equal(res.q_groups, res.iterates[-1])

@@ -11,16 +11,20 @@ from fedagg.model import (
     symmetric_covariance,
 )
 from fedagg.region import distortion
+from fedagg.seeds import seed_stream
 from fedagg.simulate import (
     baseline_aggregate,
+    mbtc_aggregator,
     mbtc_aggregate,
     mbtc_noise_surrogate,
     measure_distortion,
     qsgd_levels_for_rate,
+    qsgd_aggregator,
     qsgd_quantize,
     rotated_uniform_quantize,
     sweep_distortion,
     synthetic_sources,
+    uniform_aggregator,
 )
 from fedagg.transform import DeviceUpdateBatch
 
@@ -74,7 +78,7 @@ class TestNoiseSurrogate:
             sigma_x=np.eye(1), c=np.array([1.0])), MbtcParams([0.5]), seed=0)
         assert est.shape == (10,)
         assert np.isfinite(est).all()
-        assert np.array_equal(est2, est2)
+        assert np.array_equal(est, est2)
 
 
 class TestQsgd:
@@ -141,6 +145,20 @@ class TestBaselineAggregate:
             baseline_aggregate([np.ones(3)], [0.5, 0.5])
 
 
+class TestAggregatorSeedRule:
+    def test_public_rotation_and_per_device_dither(self):
+        rng = np.random.default_rng(14)
+        vectors = list(rng.standard_normal((3, 300)))
+        c = np.array([0.2, 0.3, 0.5])
+        rotation = seed_stream(21, "rotation")
+        uniform = [rotated_uniform_quantize(v, 2, rotation) for v in vectors]
+        qsgd = [qsgd_quantize(v, 3, seed_stream(21, "dev", m)) for m, v in enumerate(vectors)]
+        for agg, expected in ((uniform_aggregator(2), uniform), (qsgd_aggregator(3), qsgd)):
+            estimate, charges = agg(vectors, c, 21)
+            assert np.array_equal(estimate, baseline_aggregate([e[0] for e in expected], c))
+            assert np.array_equal(charges, [e[1] for e in expected])
+
+
 class TestMbtcAggregate:
     def test_empirical_tracks_predicted(self):
         rho, M, N = 0.8, 4, 2**15
@@ -175,6 +193,22 @@ class TestSweep:
         assert len(rows) == 2 * 2 * 3
         for scheme, rho, rate, charged, dist, seed in rows:
             assert dist >= 0.0 and charged > 0.0
+
+    def test_rows_equal_direct_aggregator_calls(self):
+        M, N, seed, rho, rate = 4, 2**11, 9, 0.7, 3.0
+        rows = sweep_distortion((rho,), (rate,), M, N, seed, ("mbtc", "qsgd", "uniform"))
+        sources = synthetic_sources(rho, M, N, seed_stream(seed, "sources", rho))
+        c = np.full(M, 1.0 / M)
+        direct = {
+            "mbtc": mbtc_aggregator(RateBudget(np.full(M, rate))),
+            "qsgd": qsgd_aggregator(qsgd_levels_for_rate(rate)),
+            "uniform": uniform_aggregator(3),
+        }
+        for scheme, _, _, charged, dist, _ in rows:
+            run_seed = seed_stream(seed, "run", scheme, rho, rate)
+            estimate, charges = direct[scheme](sources, c, run_seed)
+            assert charged == np.max(charges), scheme
+            assert dist == measure_distortion(baseline_aggregate(sources, c), estimate), scheme
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

@@ -9,16 +9,14 @@ from hypothesis import given, settings, strategies as st
 from fedagg.model import RateBudget, empirical_covariance
 from fedagg.simulate import mbtc_aggregate, synthetic_sources
 from fedagg.transform import (
-    Assumption1Spec,
     DeviceUpdateBatch,
-    assumption1_sources,
-    gaussianization_check,
     haar_derotate,
     haar_matrix,
     haar_rotate,
     inverse_transform,
     mean_remove,
 )
+from oracles import Assumption1Spec, assumption1_sources, gaussianization_check
 
 
 class TestHaarMatrix:
@@ -93,6 +91,10 @@ class TestRotationProperties:
         by_row = np.vstack([haar_rotate(r, seed, segment_len) for r in v])
         assert np.abs(by_row - x).max() < 1e-12
         assert np.array_equal(haar_rotate(v, seed, segment_len), x)
+        # A segment at least as long as the vector is the whole-vector map.
+        if segment_len >= n:
+            assert np.array_equal(haar_rotate(v, seed, n), x)
+            assert np.array_equal(haar_derotate(x, seed, n), haar_derotate(x, seed, segment_len))
         # Below 64 coordinates two seeds can draw the same map (segment_len 1
         # is a sign flip per coordinate, which repeats with odds 2^-n).
         if n >= 64:
