@@ -4,6 +4,15 @@ Under equicorrelated sources, uniform target coefficients, and grouped rate
 budgets, the rate constraints collapse to one row per selection vector
 (per-group participation counts), and the objective becomes separable in the
 J group variances.
+
+A model with one group (J = 1, every device on the same budget r) is solved
+exactly, with neither MM nor the barrier. Its rows are
+theta(q, s) = s/2 log2(1 + a/q) + 1/2 log2((1 + M u) / (1 + (M - s) u)) for
+s = 1..M, with a = (1 - rho) sigma2 and u = rho sigma2 / (a + q). Both terms
+fall strictly in q (u falls in q, and the ratio rises in u), so the feasible
+set {q : theta(q, s) <= s r for every s} is a half-line [q*, inf). The
+objective M / (q + a) falls in q, so q* is the optimum: a geometric bisection
+on the exact rows finds it to the last bit. Models with J >= 2 run the MM.
 """
 
 from __future__ import annotations
@@ -142,6 +151,30 @@ def _find_feasible_groups(model: SymmetricSourceModel, selections) -> np.ndarray
     raise SolverError("feasible initializer did not terminate")  # pragma: no cover
 
 
+def _bisect_one_group(model: SymmetricSourceModel, selections, q0: np.ndarray) -> np.ndarray:
+    """Smallest q, clamped at Q_MIN, whose exact one-group rows are all <= 0;
+    q0 is feasible. Each row falls strictly in q, so feasibility is monotone:
+    halve down to an infeasible point, then bisect geometrically until the
+    bracket stops shrinking, and return its feasible end."""
+
+    def feasible(q):
+        x = np.array([q])
+        return _ThetaUpConstraints(model, selections, x).value(x).max() <= 0.0
+
+    hi = float(q0[0])
+    lo = 0.5 * hi
+    while feasible(lo):
+        if lo <= Q_MIN:
+            return np.array([Q_MIN])
+        hi, lo = lo, 0.5 * lo
+    while lo < (mid := np.sqrt(lo * hi)) < hi:
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return np.array([max(hi, Q_MIN)])
+
+
 @dataclass(frozen=True)
 class SymmetricOptimizeResult:
     """Per-device parameters plus distortion/objective traces."""
@@ -162,12 +195,16 @@ def optimize_symmetric(
     eps: float = 1e-6,
     max_iter: int = 200,
 ) -> SymmetricOptimizeResult:
-    """MM loop on the grouped recast problem; expands q per device at the end."""
+    """MM loop on the grouped recast problem (one group: exact bisection, one
+    iteration); expands q per device at the end."""
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     sizes = model.group_sizes
     selections = enumerate_selections(sizes)
     a = (1.0 - model.rho) * model.sigma2
+
+    def objective(q):
+        return symmetric_objective(model.rho, model.sigma2, sizes, q)
 
     def step(q):
         cons = _ThetaUpConstraints(model, selections, q)
@@ -176,13 +213,12 @@ def optimize_symmetric(
         q0 = interior_start(cons.value, q, Q_MIN)
         return np.maximum(minimize_linear(f, cons, q0, x_min=Q_MIN), Q_MIN)
 
-    q, obj_trace, iterates, iterations = mm_loop(
-        _find_feasible_groups(model, selections),
-        lambda q: symmetric_objective(model.rho, model.sigma2, sizes, q),
-        step,
-        eps,
-        max_iter,
-    )
+    q0 = _find_feasible_groups(model, selections)
+    if len(sizes) == 1:
+        q = _bisect_one_group(model, selections, q0)
+        obj_trace, iterates, iterations = (objective(q0), objective(q)), (q0, q), 1
+    else:
+        q, obj_trace, iterates, iterations = mm_loop(q0, objective, step, eps, max_iter)
     d_trace = [symmetric_distortion(model, lam, x) for x in iterates]
     d_trace += d_trace[-1:] * (len(obj_trace) - len(d_trace))  # after a regression
     return SymmetricOptimizeResult(

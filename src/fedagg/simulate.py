@@ -27,7 +27,7 @@ from .model import (
     empirical_covariance,
     validate_psd,
 )
-from .region import cond_mutual_info, distortion, mmse_combiner, sum_mutual_info
+from .region import _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
 from .transform import DeviceUpdateBatch, haar_derotate, haar_rotate, inverse_transform
 
@@ -137,18 +137,11 @@ def mbtc_aggregate(
     x_hat = mbtc_noise_surrogate(batch.rotated, model, q, seed)
     estimate = inverse_transform(x_hat, batch.means, c, batch.rotation_seed, batch.segment_len)
     target = c @ batch.updates
-    rates = np.empty(batch.M)
-    for m in range(batch.M):
-        rates[m] = (
-            sum_mutual_info(model, q)
-            if batch.M == 1
-            else cond_mutual_info(model, q, [m])
-        )
     return AggregationResult(
         estimate=estimate,
         target=target,
         empirical_distortion=measure_distortion(target, estimate),
-        rate_report=rates,
+        rate_report=_required_bits(model, q, np.eye(batch.M, dtype=bool)),
         predicted_distortion=distortion(model, q),
         q=q,
     )
@@ -175,8 +168,14 @@ def qsgd_quantize(v, s: int, seed: int):
     return norm * np.sign(v) * xi, bits
 
 
+# MSE-optimal uniform step, in sigma, for a unit Gaussian at 1..6 bits
+# (Max, "Quantizing for minimum distortion", IRE Trans. IT, 1960).
+GAUSSIAN_STEP = (1.596, 0.9957, 0.5860, 0.3352, 0.1881, 0.1041)
+
+
 def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
-    """Rotate segments, quantize uniformly over [-4 sigma, 4 sigma], de-rotate."""
+    """Rotate segments, quantize uniformly, de-rotate. The step is Gaussian
+    MSE-optimal up to 6 bits and spans [-4 sigma, 4 sigma] from 7 bits on."""
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
     if bits_per_element < 1:
@@ -187,8 +186,9 @@ def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
     if scale == 0.0:
         return np.zeros_like(v), charged
     levels = 2**bits_per_element
-    lo = -4.0 * scale
-    step = 8.0 * scale / levels
+    b = bits_per_element
+    step = scale * (GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels)
+    lo = -0.5 * levels * step
     idx = np.clip(np.floor((x - lo) / step), 0, levels - 1)
     xq = lo + (idx + 0.5) * step
     return haar_derotate(xq, seed), charged

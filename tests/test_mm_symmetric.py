@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fedagg import mm_symmetric
+from fedagg.flharness import mbtc_aggregator, random_task, run_training
 from fedagg.mm_general import optimize
 from fedagg.mm_symmetric import (
     _ThetaUpConstraints,
@@ -14,7 +16,7 @@ from fedagg.mm_symmetric import (
     theta,
     theta_up,
 )
-from fedagg.model import MbtcParams, SymmetricSourceModel
+from fedagg.model import MbtcParams, RateBudget, SymmetricSourceModel
 from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
 from test_barrier import CountingConstraints
 
@@ -191,3 +193,71 @@ class TestOptimizeSymmetric:
         assert res.trace[-1] == res.trace[-2] == res.distortion
         assert res.objective_trace[-1] == res.objective_trace[-2]
         assert np.array_equal(res.q_groups, res.iterates[-1])
+
+
+one_group = dict(
+    rho=st.floats(0.0, 0.95),
+    sigma2=st.floats(0.5, 2.0),
+    M=st.integers(1, 29),
+    r=st.floats(0.5, 4.0),
+)
+
+
+def one_group_rows(model: SymmetricSourceModel, q: float) -> np.ndarray:
+    """Exact theta(q, s) - s r for s = 1..M, from the reference formula."""
+    (M, r), = model.groups
+    return np.array(
+        [theta(model.rho, model.sigma2, [M], [q], [s]) - s * r for s in range(1, M + 1)]
+    )
+
+
+class TestOneGroupExact:
+    @given(**one_group, log_q=st.floats(-3.0, 2.0), ratio=st.floats(1.01, 10.0))
+    def test_rows_fall_strictly_in_q(self, rho, sigma2, M, r, log_q, ratio):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        q = 10.0**log_q
+        assert np.all(one_group_rows(model, q) > one_group_rows(model, ratio * q))
+
+    @given(**one_group)
+    def test_returned_q_is_feasible_and_binds(self, rho, sigma2, M, r):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        res = optimize_symmetric(model, lam=1.0 / M)
+        rows = one_group_rows(model, res.q_groups[0])
+        assert rows.max() <= 1e-12
+        assert rows.max() >= -1e-9
+        assert res.iterations == 1 and len(res.iterates) == 2
+        assert res.n_constraints == M
+        assert res.objective_trace[1] >= res.objective_trace[0]
+        assert res.trace[0] == symmetric_distortion(model, 1.0 / M, res.iterates[0])
+        assert res.trace[1] <= res.trace[0]
+
+    @given(**{**one_group, "M": st.integers(2, 29)}, data=st.data())
+    def test_matches_mm_on_two_equal_rate_groups(self, rho, sigma2, M, r, data):
+        # ((k, r), (M - k, r)) is the same problem with J = 2, so the MM solves it.
+        k = data.draw(st.integers(1, M - 1))
+        exact = optimize_symmetric(
+            SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),)), 1.0 / M
+        )
+        mm = optimize_symmetric(
+            SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((k, r), (M - k, r))), 1.0 / M
+        )
+        assert exact.distortion <= mm.distortion * (1.0 + 1e-12)
+        assert np.all(np.abs(mm.q_groups / exact.q_groups[0] - 1.0) <= 1e-6)
+
+    @given(sigma2=one_group["sigma2"], M=one_group["M"], r=one_group["r"])
+    def test_independent_sources_closed_form(self, sigma2, M, r):
+        model = SymmetricSourceModel(rho=0.0, sigma2=sigma2, groups=((M, r),))
+        q = optimize_symmetric(model, lam=1.0 / M).q_groups[0]
+        assert q == pytest.approx(sigma2 / (2.0 ** (2.0 * r) - 1.0), rel=1e-12)
+
+    def test_runs_neither_mm_nor_barrier(self, monkeypatch):
+        def no_barrier(*args, **kwargs):
+            raise AssertionError("a one-group model must not run the barrier")
+
+        monkeypatch.setattr(mm_symmetric, "minimize_linear", no_barrier)
+        monkeypatch.setattr(mm_symmetric, "interior_start", no_barrier)
+        model = SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=((8, 3.0),))
+        assert optimize_symmetric(model, lam=1.0 / 8).iterations == 1
+        task = random_task(4, 16, samples_per_device=16, seed=5)
+        trace = run_training(task, mbtc_aggregator(RateBudget(np.full(4, 2.0))), T=5, seed=6)
+        assert np.all(np.isfinite(trace.loss_gap))

@@ -9,8 +9,9 @@ from fedagg.model import (
     RateBudget,
     empirical_covariance,
     symmetric_covariance,
+    validate_psd,
 )
-from fedagg.region import distortion
+from fedagg.region import cond_mutual_info, distortion, sum_mutual_info
 from fedagg.seeds import seed_stream
 from fedagg.simulate import (
     baseline_aggregate,
@@ -26,7 +27,7 @@ from fedagg.simulate import (
     synthetic_sources,
     uniform_aggregator,
 )
-from fedagg.transform import DeviceUpdateBatch
+from fedagg.transform import DeviceUpdateBatch, haar_derotate, haar_rotate
 
 
 class TestSyntheticSources:
@@ -122,6 +123,26 @@ class TestRotatedUniform:
         assert mse < (step / 2) ** 2 * 4  # slack for clipped tail mass
         assert charged == pytest.approx(6 + 64 / 2000)
 
+    def test_gaussian_step_beats_clamped_range(self):
+        # The Gaussian MSE-optimal step up to 6 bits; the [-4 sigma, 4 sigma]
+        # range it replaced did worse than sending zero at 1 bit (1.81 sigma^2).
+        v = np.random.default_rng(6).standard_normal(2**16)
+        sigma2 = np.var(v)
+
+        def clamped_range(bits):
+            x = haar_rotate(v, 7)
+            lo, step = -4.0 * np.std(x), 8.0 * np.std(x) / 2**bits
+            idx = np.clip(np.floor((x - lo) / step), 0, 2**bits - 1)
+            return haar_derotate(lo + (idx + 0.5) * step, 7)
+
+        mse = {}
+        for bits in range(1, 9):
+            mse[bits] = measure_distortion(v, rotated_uniform_quantize(v, bits, 7)[0])
+            assert mse[bits] <= measure_distortion(v, clamped_range(bits))
+        assert mse[1] < 0.37 * sigma2
+        assert mse[2] < 0.125 * sigma2
+        assert mse[3] < 0.04 * sigma2
+
     def test_deterministic(self):
         v = np.arange(100, dtype=float)
         a, _ = rotated_uniform_quantize(v, 3, seed=2)
@@ -172,6 +193,22 @@ class TestMbtcAggregate:
                 res.predicted_distortion, rel=0.05
             )
             assert np.all(res.rate_report <= budget.r + 1e-9)
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_rate_report_is_the_singleton_rates(self, M):
+        # Reference: I(x_m; u_m | u_{-m}) per device, I(x; u) for one device.
+        y = np.stack(synthetic_sources(0.7, M, 2048, seed=9))
+        batch = DeviceUpdateBatch(updates=y, rotation_seed=12)
+        c = np.full(M, 1.0 / M)
+        res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)), seed=4)
+        model = GaussianSourceModel(
+            sigma_x=validate_psd(empirical_covariance(batch.mean_removed)), c=c
+        )
+        expected = [
+            sum_mutual_info(model, res.q) if M == 1 else cond_mutual_info(model, res.q, [m])
+            for m in range(M)
+        ]
+        assert np.array_equal(res.rate_report, expected)
 
     def test_rejects_unknown_optimizer(self):
         y = np.stack(synthetic_sources(0.5, 2, 64, seed=0))
