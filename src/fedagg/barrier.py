@@ -1,19 +1,22 @@
-"""Primal log-barrier interior-point solver for small dense convex subproblems.
+"""Primal-dual interior-point solver for small dense convex subproblems.
 
-Minimizes a linear objective f'x subject to smooth convex constraints
-g_i(x) <= 0 and box lower bounds x >= x_min. Newton steps with backtracking
-line search (alpha = 0.25, beta = 0.5); barrier parameter t scales by 10 per
-outer stage from t = 1 until n_constraints / t < 1e-9 (centering as in Boyd &
-Vandenberghe, Convex Optimization, section 11.3).
+Minimizes f'x subject to smooth convex rows g(x) <= 0 and the linear rows
+x_min - x <= 0 by Mehrotra's predictor-corrector (SIAM J. Optim. 1992;
+Wright, Primal-Dual Interior-Point Methods, SIAM 1997) on the slack form
+g(x) + s = 0 (Nocedal & Wright, Numerical Optimization, ch. 19), from
+s = max(-g(x0), 1e-3) and lambda = mu0 / s, mu0 fitting f + J'lambda = 0:
+slacks that start near zero would shrink out of step with the dual residual.
+Each iteration solves H + J' diag(lambda / s) J, scaled to a unit diagonal,
+for the predictor and the corrector (centering (mu_aff / mu)^3); steps are
+0.95 of the longest that keeps s and lambda positive.
 
-A centering stage ends when the Newton decrement falls below tolerance, after
-40 steps, or when it stalls: the accepted iterate x + lam * step equals x in
-floating point (or the line search underflows). Every further step of a
-stalled stage would recompute the same step from the same x, so ending it
-returns the same point and keeps the 500-step budget for later stages.
-
-Each solve logs one DEBUG record on the ``fedagg.barrier`` logger with its
-Newton steps, stages, stalled stages and final t.
+It stops on a certificate (Boyd & Vandenberghe, Convex Optimization, 11.7):
+dual residual f + J'lambda <= 1e-10 and gap eta = -g(x)'lambda <= 1e-9, both
+scaled by the objective. Convex rows bend up from their linearization, so x
+can end just outside the region; it then moves to x + theta (x_in - x), x_in
+the last strictly feasible iterate and theta the least that convexity proves
+feasible, and f'(x_out - x) joins eta. Each solve logs one DEBUG record on
+``fedagg.barrier``: iterations, gap, residuals, worst slack, its row, theta.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ import numpy as np
 
 from .errors import SolverError
 
-ALPHA = 0.25
-BETA = 0.5
-T_INIT = 1.0
-T_SCALE = 10.0
 GAP_TOL = 1e-9
-MAX_NEWTON_TOTAL = 500
-MAX_NEWTON_PER_STAGE = 40
+RESIDUAL_TOL = 1e-10
+STEP_FRACTION = 0.95
+SLACK_FLOOR = 1e-3
+MAX_NEWTON_TOTAL = 200
 
 logger = logging.getLogger(__name__)
 
@@ -66,82 +67,81 @@ def interior_start(values, x_hat, x_min):
     raise SolverError("could not find a strictly interior start", last_iterate=x_hat)
 
 
-def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0, newton_tol=1e-10):
-    """Barrier minimization of f'x over {g(x) <= 0, x >= x_min}.
+def _max_step(s, ds, lam, dlam):
+    """Largest alpha keeping s + alpha ds and lam + alpha dlam >= 0; s, lam > 0."""
+    shrink = max(float((-ds / s).max()), float((-dlam / lam).max()))
+    return 1.0 / shrink if shrink > 0 else np.inf
 
-    x0 must be strictly feasible. Raises SolverError (carrying the last
-    iterate) if the Newton-iteration budget is exhausted.
-    """
-    f = np.asarray(f, dtype=float)
-    x = np.array(x0, dtype=float)
+
+def _solve_shifted(k, rhs):
+    """Solve k y = rhs for positive semidefinite k with a unit diagonal by LU (which
+    rounding cannot break, unlike Cholesky); a growing diagonal shift repairs a singular k."""
+    for shift in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+        try:
+            return np.linalg.solve(k + shift * np.eye(k.shape[0]), rhs)
+        except np.linalg.LinAlgError:
+            continue
+    raise SolverError("reduced Newton matrix is singular")
+
+
+def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0):
+    """Minimize f'x over {g(x) <= 0, x >= x_min} from a strictly feasible x0
+    to a point where every row is <= 0. Raises SolverError, carrying the last
+    strictly feasible iterate, after MAX_NEWTON_TOTAL iterations."""
+    f, x = np.asarray(f, dtype=float), np.array(x0, dtype=float)
     dim = x.shape[0]
     x_min = np.broadcast_to(np.asarray(x_min, dtype=float), (dim,))
-    g0 = cons.value(x)
-    if np.any(g0 >= 0) or np.any(x <= x_min):
+
+    def rows(xx):  # the constraint rows, then the floor rows
+        return np.concatenate([cons.value(xx), x_min - xx])
+    def jacobian(xx):
+        return np.vstack([cons.grad(xx), -np.eye(dim)])
+
+    g, jac = rows(x), jacobian(x)
+    if not (g < 0).all():
         raise SolverError("initial point is not strictly feasible", last_iterate=x)
-    n_cons = g0.shape[0] + dim
+    n_cons = g.shape[0] - dim
+    s = np.maximum(-g, SLACK_FLOOR)
+    v = jac.T @ (1.0 / s)
+    mu0 = -float(f @ v) / max(float(v @ v), np.finfo(float).tiny)
+    lam = (mu0 if mu0 > 0 else 1.0) / s
+    for iteration in range(MAX_NEWTON_TOTAL + 1):
+        if (g < 0).all():
+            x_in, g_in = x, g
+        r_dual = f + jac.T @ lam
+        dual_res = float(np.abs(r_dual).max()) / max(1.0, float(np.abs(f).max()))
+        if dual_res <= RESIDUAL_TOL and -g @ lam <= GAP_TOL * max(1.0, abs(f @ x)):
+            out = g > 0
+            theta = float((g[out] / (g[out] - g_in[out])).max()) if out.any() else 0.0
+            x_out = x + theta * (x_in - x)
+            g_out = rows(x_out) if theta else g
+            gap = float(f @ (x_out - x) - g @ lam)
+            if (g_out <= 0).all() and gap <= GAP_TOL * max(1.0, abs(f @ x_out)):
+                worst = int(np.argmax(g_out[:n_cons])) if n_cons else -1
+                logger.debug(
+                    "barrier solve: %d iterations, gap=%.3g, primal residual=%.3g, "
+                    "dual residual=%.3g, worst slack=%.3g at row %d, pull-back=%.3g",
+                    iteration, gap, float(np.abs(g + s).max()), dual_res,
+                    -g_out[worst] if n_cons else np.inf, worst, theta)
+                return x_out
+        if iteration == MAX_NEWTON_TOTAL:
+            raise SolverError(f"barrier exceeded {iteration} Newton iterations", last_iterate=x_in)
+        w, r_prim = lam / s, g + s
+        k = cons.hess_weighted(x, lam[:n_cons]) + (jac.T * w) @ jac
+        d = np.sqrt(np.maximum(np.diag(k), np.finfo(float).tiny))  # to a unit diagonal
 
-    def phi(xx, t):
-        # Array methods, not np.any/np.sum: phi runs a few hundred times per
-        # solve, and the module-level wrappers cost more than the reductions.
-        if (xx <= x_min).any():
-            return np.inf
-        g = cons.value(xx)
-        if (g >= 0).any():
-            return np.inf
-        return t * f @ xx - np.log(-g).sum() - np.log(xx - x_min).sum()
+        def direction(r_cent):
+            # Newton step on (f + J'lam, g + s, s*lam - target), r_cent = s*lam - target
+            rhs = jac.T @ (r_cent / s - w * r_prim) - r_dual
+            dx = _solve_shifted(k / np.outer(d, d), rhs / d) / d
+            ds = -r_prim - jac @ dx
+            return dx, -(r_cent + lam * ds) / s, ds
 
-    t = T_INIT
-    newton_used = 0
-    stages = stalled = 0
-    while True:
-        # Newton centering for the current t. At large t the decrement can
-        # float just above tolerance; the per-stage cap accepts the
-        # approximately centered point instead of burning the budget.
-        stages += 1
-        stage_used = 0
-        while stage_used < MAX_NEWTON_PER_STAGE:
-            if newton_used >= MAX_NEWTON_TOTAL:
-                raise SolverError(
-                    f"barrier solver exceeded {MAX_NEWTON_TOTAL} Newton iterations",
-                    last_iterate=x,
-                )
-            newton_used += 1
-            stage_used += 1
-            g = cons.value(x)
-            s = -g
-            jac = cons.grad(x)
-            inv_s = 1.0 / s
-            grad = t * f + jac.T @ inv_s + (-1.0 / (x - x_min))
-            hess = (
-                (jac * inv_s[:, None] ** 2).T @ jac
-                + cons.hess_weighted(x, inv_s)
-                + np.diag(1.0 / (x - x_min) ** 2)
-            )
-            try:
-                step = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-            decrement2 = float(-grad @ step)
-            if decrement2 / 2.0 <= newton_tol:
-                break
-            # phi(x, t) from the g above: x is strictly feasible here.
-            base = t * f @ x - np.log(-g).sum() - np.log(x - x_min).sum()
-            slope = float(grad @ step)
-            lam = 1.0
-            while phi(x + lam * step, t) > base + ALPHA * lam * slope:
-                lam *= BETA
-                if lam < 1e-14:
-                    break
-            x_new = x + lam * step
-            if lam < 1e-14 or np.array_equal(x_new, x):
-                stalled += 1
-                break
-            x = x_new
-        if n_cons / t < GAP_TOL:
-            logger.debug(
-                "barrier solve: %d Newton steps, %d stages (%d stalled), final t=%g",
-                newton_used, stages, stalled, t,
-            )
-            return x
-        t *= T_SCALE
+        _, dlam, ds = direction(s * lam)
+        alpha = min(1.0, _max_step(s, ds, lam, dlam))
+        mu = float(s @ lam) / s.shape[0]
+        mu_aff = float((s + alpha * ds) @ (lam + alpha * dlam)) / s.shape[0]
+        dx, dlam, ds = direction(s * lam + ds * dlam - (mu_aff / mu) ** 3 * mu)
+        alpha = min(1.0, STEP_FRACTION * _max_step(s, ds, lam, dlam))
+        x, lam, s = x + alpha * dx, lam + alpha * dlam, s + alpha * ds
+        g, jac = rows(x), jacobian(x)

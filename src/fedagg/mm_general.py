@@ -2,7 +2,7 @@
 
 Each iteration builds a convex surrogate (linear objective, linear-minus-log
 rate constraints tight at the expansion point) and solves it with the
-log-barrier solver.
+primal-dual interior-point solver of ``barrier``.
 """
 
 from __future__ import annotations
@@ -162,15 +162,11 @@ def build_surrogate(
     )
 
 
-def solve_surrogate(problem: SurrogateProblem, tol: float = 1e-8) -> MbtcParams:
-    """Solve the convex surrogate with the log-barrier method."""
+def solve_surrogate(problem: SurrogateProblem) -> MbtcParams:
+    """Solve the convex surrogate with the primal-dual interior-point method."""
     q0 = interior_start(problem.constraint_values, problem.expansion_point, Q_MIN)
     q = minimize_linear(
-        problem.objective_weights,
-        _SurrogateConstraints(problem),
-        q0,
-        x_min=Q_MIN,
-        newton_tol=tol,
+        problem.objective_weights, _SurrogateConstraints(problem), q0, x_min=Q_MIN
     )
     return MbtcParams(np.maximum(q, Q_MIN))
 

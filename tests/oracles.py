@@ -161,6 +161,26 @@ def grid_search(sigma, c, rates, n_per_axis=200, refine=3, lo_hi=None):
     return best_q, best_d
 
 
+def lp_vertex_minimum(A, b, f, tol=1e-9) -> float:
+    """min f'x over the bounded polytope {A x <= b} by vertex enumeration.
+
+    Every choice of dim rows with a nonsingular system gives a candidate
+    vertex; those that meet all rows to tol are feasible, and a bounded LP
+    attains its minimum at one of them.
+    """
+    A, b, f = (np.asarray(v, dtype=float) for v in (A, b, f))
+    best = np.inf
+    for idx in combinations(range(A.shape[0]), A.shape[1]):
+        sub = A[list(idx)]
+        with np.errstate(divide="ignore"):  # LAPACK's det of a singular matrix
+            if abs(np.linalg.det(sub)) < 1e-9:
+                continue
+        vertex = np.linalg.solve(sub, b[list(idx)])
+        if np.all(A @ vertex <= b + tol):
+            best = min(best, float(f @ vertex))
+    return best
+
+
 def mc_conditional_mi(sigma, q, inside, n_samples=10**6, seed=0):
     """Sample-based estimate of I(x^S; u^S | u^{S^c}) in bits."""
     sigma = np.asarray(sigma, dtype=float)

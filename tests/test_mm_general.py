@@ -1,9 +1,13 @@
 """Tests for the general-case MM optimizer."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedagg import mm_general
 from fedagg.mm_general import (
     OptimizeResult,
     build_surrogate,
@@ -24,6 +28,7 @@ from fedagg.region import (
     sum_mutual_info,
 )
 from oracles import grid_search, quad_form_lower_bound
+from test_barrier import count_barrier_evaluations
 
 
 def random_model(rng, M):
@@ -155,6 +160,43 @@ class TestSurrogate:
             q = solve_surrogate(prob)
             ok, worst = is_feasible(model, q, budget)
             assert ok, worst
+
+
+def drawn_m10_instance(k):
+    """The M=10 instance default_rng([k, 1]) draws: Sigma = G G' / 13 with
+    G ~ N(0, 1)^{10 x 13}, c ~ U(0.2, 1) and budgets r ~ U(0.5, 2)."""
+    rng = np.random.default_rng([k, 1])
+    g = rng.standard_normal((10, 13))
+    model = GaussianSourceModel(sigma_x=g @ g.T / 13, c=rng.uniform(0.2, 1.0, size=10))
+    return model, RateBudget(rng.uniform(0.5, 2.0, size=10))
+
+
+class TestCertifiedSolves:
+    def test_binds_on_drawn_instances(self):
+        # Solves that stop short of optimal send MM runs through the
+        # numerical regression branch and leave slack on every subset.
+        for k in range(12):
+            model, budget = drawn_m10_instance(k)
+            res = optimize(model, budget)
+            assert len(res.iterates) == len(res.trace), f"regression branch at k={k}"
+            ok, worst = is_feasible(model, res.q, budget)
+            assert ok and worst <= 1e-5, (k, worst)
+            if k in (9, 10):
+                assert res.distortion <= {9: 0.3053, 10: 0.6069}[k]
+
+    def test_benchmark_instance_solves_are_certified(self, monkeypatch, caplog):
+        # The optimize benchmark's M=10 instance: each surrogate solve ends
+        # inside the region on a gap certificate, within 60 iterations.
+        counters = count_barrier_evaluations(monkeypatch, mm_general)
+        with caplog.at_level(logging.DEBUG, logger="fedagg.barrier"):
+            optimize(*drawn_m10_instance(3))
+        records = [r.getMessage() for r in caplog.records if r.name == "fedagg.barrier"]
+        assert counters and len(records) == len(counters)
+        # One gradient per iteration, plus one at the certified point.
+        assert max(c.grads for c in counters) - 1 <= 60
+        for message in records:
+            stats = {k.strip(): v for k, v in re.findall(r"([a-z ]+)=([^,\s]+)", message)}
+            assert float(stats["gap"]) <= 1e-9 and float(stats["worst slack"]) >= 0.0
 
 
 class TestOptimize:

@@ -18,21 +18,7 @@ from fedagg.mm_symmetric import (
 )
 from fedagg.model import MbtcParams, RateBudget, SymmetricSourceModel
 from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
-from test_barrier import CountingConstraints
-
-
-def count_barrier_evaluations(monkeypatch):
-    """Route every barrier solve of mm_symmetric through CountingConstraints;
-    the returned list collects the wrappers."""
-    wrappers = []
-    solver = mm_symmetric.minimize_linear
-
-    def counted(f, cons, *args, **kwargs):
-        wrappers.append(CountingConstraints(cons))
-        return solver(f, wrappers[-1], *args, **kwargs)
-
-    monkeypatch.setattr(mm_symmetric, "minimize_linear", counted)
-    return wrappers
+from test_barrier import count_barrier_evaluations
 
 
 class TestEnumerateSelections:
@@ -155,17 +141,17 @@ class TestOptimizeSymmetric:
             optimize_symmetric(model, lam=0.0)
 
     def test_grouped_workload_evaluation_count(self, monkeypatch):
-        # 3 groups of 20 devices at rho 0.9 (9,260 selection rows): stalled
-        # barrier stages end early instead of running to the stage cap.
-        wrappers = count_barrier_evaluations(monkeypatch)
+        # 3 groups of 20 devices at rho 0.9 (9,260 selection rows): about
+        # one constraint evaluation per interior-point iteration.
+        wrappers = count_barrier_evaluations(monkeypatch, mm_symmetric)
         groups = ((20, 1.0), (20, 2.0), (20, 3.0))
         optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
         assert wrappers
-        assert sum(w.values for w in wrappers) <= 10_000
+        assert sum(w.values for w in wrappers) <= 1_000
 
     def test_converges_where_newton_budget_ran_out(self):
-        # Once raised SolverError (Newton budget exhausted): stalled stages
-        # repeated their last step up to the 40-step stage cap.
+        # A solve that is not centered before it moves on can exhaust the
+        # Newton budget here (SolverError).
         groups = ((20, 1.1926), (20, 1.55), (20, 1.5772))
         model = SymmetricSourceModel(rho=0.7018, sigma2=1.0, groups=groups)
         res = optimize_symmetric(model, 1 / 60)
@@ -174,6 +160,21 @@ class TestOptimizeSymmetric:
         slack = _ThetaUpConstraints(model, sel, res.q_groups).value(res.q_groups)
         assert np.all(slack <= 1e-9)
         assert slack.max() >= -1e-6
+
+    def test_converges_on_drawn_model_8_7(self):
+        # default_rng([8, 7]) draws rho 0.5585 and rates (0.9111, 1.0951,
+        # 1.4483), a model on which uncentered solves exhaust the budget.
+        rng = np.random.default_rng([8, 7])
+        rho = rng.uniform(0.5, 0.95)
+        rates = np.sort(rng.uniform(0.5, 3.0, size=3))
+        assert rho == pytest.approx(0.5585, abs=1e-4)
+        groups = tuple((20, float(r)) for r in rates)
+        model = SymmetricSourceModel(rho=rho, sigma2=1.0, groups=groups)
+        res = optimize_symmetric(model, 1 / 60)
+        sel = enumerate_selections(model.group_sizes)
+        rows = _ThetaUpConstraints(model, sel, res.q_groups).value(res.q_groups)
+        assert -1e-6 <= rows.max() <= 1e-9
+        assert res.distortion <= 0.0021117
 
     def test_regression_step_repeats_last_distortion(self, monkeypatch):
         # A second surrogate solve that lands on larger q lowers the recast
