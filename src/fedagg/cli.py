@@ -76,9 +76,7 @@ def _parse_rates(text):
 def cmd_optimize(args) -> int:
     with open(args.model) as fh:
         model = load_model(fh.read())
-    if args.symmetric or isinstance(model, SymmetricSourceModel):
-        if not isinstance(model, SymmetricSourceModel):
-            raise ValueError("--symmetric requires a symmetric model JSON")
+    if isinstance(model, SymmetricSourceModel):
         res = mm_symmetric.optimize_symmetric(
             model, args.lam, eps=args.eps, max_iter=args.max_iter
         )
@@ -114,7 +112,7 @@ def cmd_optimize(args) -> int:
     _write_sidecar(
         out_json.rsplit(".", 1)[0] + "_meta.json",
         {"command": "optimize", "model": args.model, "budget": args.budget,
-         "symmetric": bool(args.symmetric), "lambda": args.lam,
+         "lambda": args.lam,
          "eps": args.eps, "max_iter": args.max_iter},
         None,
     )
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run an MM optimizer on a model JSON")
     p_opt.add_argument("--model", required=True)
     p_opt.add_argument("--budget", help="comma list of per-device rates (bits/symbol)")
-    p_opt.add_argument("--symmetric", action="store_true")
     p_opt.add_argument("--lam", type=float, default=1.0)
     p_opt.add_argument("--eps", type=float, default=1e-6)
     p_opt.add_argument("--max-iter", type=int, default=200)

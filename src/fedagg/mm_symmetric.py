@@ -18,7 +18,6 @@ on the exact rows finds it to the last bit. Models with J >= 2 run the MM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -35,15 +34,13 @@ HALF_LOG2E = 0.5 * LOG2E
 def enumerate_selections(group_sizes) -> np.ndarray:
     """All per-group count vectors with at least one device selected.
 
-    Lexicographic order; shape (prod(M_j + 1) - 1, J).
+    Lexicographic (itertools.product) order; shape (prod(M_j + 1) - 1, J).
     """
     sizes = np.atleast_1d(np.asarray(group_sizes, dtype=int))
     total = int(np.prod(sizes + 1))
     if total > MAX_SELECTIONS:
         raise ValueError(f"selection count {total} exceeds cap {MAX_SELECTIONS}")
-    rows = [np.array(v) for v in product(*(range(s + 1) for s in sizes))]
-    sel = np.array([r for r in rows if r.sum() >= 1], dtype=int)
-    return sel
+    return np.ascontiguousarray(np.indices(tuple(sizes + 1)).reshape(sizes.size, -1).T[1:])
 
 
 def theta(rho, sigma2, group_sizes, q_groups, selection) -> float:
@@ -211,7 +208,7 @@ def optimize_symmetric(
         # Surrogate objective: minimize sum_j M_j q_j / (q_hat_j + a)^2.
         f = sizes.astype(float) / (q + a) ** 2
         q0 = interior_start(cons.value, q, Q_MIN)
-        return np.maximum(minimize_linear(f, cons, q0, x_min=Q_MIN), Q_MIN)
+        return minimize_linear(f, cons, q0, x_min=Q_MIN)
 
     q0 = _find_feasible_groups(model, selections)
     if len(sizes) == 1:

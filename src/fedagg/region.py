@@ -132,13 +132,14 @@ def _constraint_columns(model: GaussianSourceModel, q, budget: RateBudget):
 
 
 def is_feasible(model: GaussianSourceModel, q, budget: RateBudget):
-    """Check all 2^M - 1 subset rate constraints.
+    """Check all 2^M - 1 subset rate constraints: slack_feasible of the
+    slacks (budget sum - required bits), i.e. (feasible, worst_slack)."""
+    return slack_feasible(_constraint_columns(model, q, budget)[2])
 
-    Returns (feasible, worst_slack) with worst_slack = min over constraints
-    of (budget sum - required bits); feasible iff every slack >= -1e-9, so a
-    NaN slack is infeasible.
-    """
-    _, _, slack = _constraint_columns(model, q, budget)
+
+def slack_feasible(slack: np.ndarray):
+    """(feasible, worst slack) of constraint slacks: feasible iff every slack
+    >= -1e-9, so a NaN slack is infeasible."""
     return bool(np.all(slack >= -1e-9)), float(np.min(slack))
 
 

@@ -84,9 +84,10 @@ class AggregationResult:
     q: MbtcParams = None
 
 
-def _fit_symmetric(sigma: np.ndarray, budget: RateBudget) -> SymmetricSourceModel:
+def _fit_symmetric(sigma: np.ndarray, budget: RateBudget):
     """Project an empirical covariance onto the equicorrelated family and group
-    devices by identical budgets (group order = first occurrence)."""
+    devices by identical budgets (group order = first occurrence); returns the
+    model and each device's group index."""
     m = sigma.shape[0]
     sigma2 = float(np.mean(np.diag(sigma)))
     if m > 1:
@@ -94,23 +95,11 @@ def _fit_symmetric(sigma: np.ndarray, budget: RateBudget) -> SymmetricSourceMode
         rho = float(np.clip(np.mean(off) / sigma2, 0.0, 1.0 - 1e-9))
     else:
         rho = 0.0
-    groups = []
-    order = []
-    for rate in budget.r:
-        key = float(rate)
-        if key not in order:
-            order.append(key)
-    for key in order:
-        groups.append((int(np.sum(budget.r == key)), key))
-    return SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=tuple(groups))
-
-
-def _symmetric_q_per_device(budget: RateBudget, sym: SymmetricSourceModel, q_groups):
-    q = np.empty(budget.M)
-    rates = [r for _, r in sym.groups]
-    for m, rate in enumerate(budget.r):
-        q[m] = q_groups[rates.index(float(rate))]
-    return q
+    rates, first, inverse = np.unique(budget.r, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse]
+    groups = tuple((int(n), float(r)) for n, r in zip(np.bincount(group), rates[order]))
+    return SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=groups), group
 
 
 def mbtc_aggregate(
@@ -128,10 +117,9 @@ def mbtc_aggregate(
     if optimizer_choice == "general":
         q = mm_general.optimize(model, budget).q
     elif optimizer_choice == "symmetric":
-        sym = _fit_symmetric(sigma, budget)
-        lam = float(np.mean(c))
-        res = mm_symmetric.optimize_symmetric(sym, lam)
-        q = MbtcParams(_symmetric_q_per_device(budget, sym, res.q_groups))
+        sym, group = _fit_symmetric(sigma, budget)
+        res = mm_symmetric.optimize_symmetric(sym, float(np.mean(c)))
+        q = MbtcParams(res.q_groups[group])
     else:
         raise ValueError(f"unknown optimizer {optimizer_choice!r}")
     x_hat = mbtc_noise_surrogate(batch.rotated, model, q, seed)

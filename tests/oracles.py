@@ -257,6 +257,33 @@ def quad_form_lower_bound(a, b, B) -> float:
     return float(2.0 * a @ b - b @ B @ b)
 
 
+def chi_xi(sigma, q_hat, q, S) -> float:
+    """The paper's majorant chi_S(q) + xi_S(q) of I(x_S; u_S | u_{S^c}), tight
+    at q_hat, formed per subset from E_S and F_S (S the full set: E is empty
+    and F = G = Sigma + diag(q_hat)).
+
+    E_S = Sigma_{S S^c} (Sigma_{S^c S^c} + Q_hat_{S^c})^-1 is the linear
+    estimator of u_S from u_{S^c} at q_hat and F_S its error covariance there.
+    At q the same estimator's error covariance X(q) dominates the Schur
+    complement, and log det X <= log det F + tr(F^-1 (X - F)), so
+    chi_S = 0.5 log2 det F + 0.5 log2(e) (tr(F^-1 X(q)) - |S|) and
+    xi_S = -0.5 sum_{m in S} log2 q_m.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    q_hat = np.asarray(q_hat, dtype=float)
+    q = np.asarray(q, dtype=float)
+    S = sorted(int(m) for m in S)
+    C = [m for m in range(sigma.shape[0]) if m not in S]
+    k_hat = sigma + np.diag(q_hat)
+    E = np.linalg.solve(k_hat[np.ix_(C, C)], sigma[np.ix_(C, S)]).T if C else np.zeros((len(S), 0))
+    F = k_hat[np.ix_(S, S)] - E @ sigma[np.ix_(C, S)]
+    A = np.hstack([np.eye(len(S)), -E])  # u_S - E u_{S^c}
+    X = A @ (sigma + np.diag(q))[np.ix_(S + C, S + C)] @ A.T
+    _, logdet_f = np.linalg.slogdet(F)
+    chi = 0.5 * LOG2E * (logdet_f + np.trace(np.linalg.solve(F, X)) - len(S))
+    return float(chi - 0.5 * np.sum(np.log2(q[S])))
+
+
 @dataclass(frozen=True)
 class Assumption1Spec:
     """Linear-combination source model: updates = coefficients @ base vectors."""

@@ -123,8 +123,8 @@ def test_criterion_4_surrogate_tightness_and_monotonicity():
             exact_quad = a @ np.linalg.solve(sigma + np.diag(qv), a)
             ok &= abs(surrogate_quad - exact_quad) < 1e-9
             prob = build_surrogate(model, budget, MbtcParams(qv))
-            vals = prob.constraint_values(qv)
-            for mask, val in zip(prob.masks, vals):
+            vals = prob.value(qv)
+            for mask, val in zip(range(1, 1 << model.M), vals):
                 S = [m for m in range(model.M) if mask >> m & 1]
                 exact = (
                     sum_mutual_info(model, MbtcParams(qv))

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from fedagg import barrier
 from fedagg.barrier import ConstraintSet, interior_start, minimize_linear
 from fedagg.errors import SolverError
-from fedagg.mm_general import _SurrogateConstraints, build_surrogate, find_feasible_init
+from fedagg.mm_general import build_surrogate, find_feasible_init
 from fedagg.model import Q_MIN, GaussianSourceModel, RateBudget
 from oracles import lp_vertex_minimum
 
@@ -172,11 +172,10 @@ class TestProperties:
         g = rng.standard_normal((M, M + 2))
         model = GaussianSourceModel(sigma_x=g @ g.T / (M + 2), c=rng.uniform(0.2, 1.0, M))
         rates = RateBudget(rng.uniform(0.5, 2.0, M))
-        problem = build_surrogate(model, rates, find_feasible_init(model, rates))
-        cons = _SurrogateConstraints(problem)
-        q0 = interior_start(cons.value, problem.expansion_point, Q_MIN)
+        cons = build_surrogate(model, rates, find_feasible_init(model, rates))
+        q0 = interior_start(cons.value, cons.expansion_point, Q_MIN)
         with mock.patch.object(barrier, "MAX_NEWTON_TOTAL", budget):
             with pytest.raises(SolverError) as info:
-                minimize_linear(problem.objective_weights, cons, q0, x_min=Q_MIN)
+                minimize_linear(cons.objective_weights, cons, q0, x_min=Q_MIN)
         last = info.value.last_iterate
         assert np.all(cons.value(last) < 0) and np.all(last > Q_MIN)

@@ -68,11 +68,15 @@ class TestOptimize:
     def test_symmetric_model(self, capsys, tmp_path):
         p = write_symmetric_model(tmp_path / "s.json")
         out = tmp_path / "res.json"
-        assert run(["optimize", "--model", p, "--symmetric", "--lam", "0.5",
+        assert run(["optimize", "--model", p, "--lam", "0.5",
                     "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["q_star"]) == 2
         assert payload["D_star"] > 0
+        # The model JSON's type picks the optimizer; there is no --symmetric flag.
+        config = json.loads((tmp_path / "res_meta.json").read_text())["config"]
+        assert "symmetric" not in config
+        assert run(["optimize", "--model", p, "--symmetric", "--out", str(out)]) == 2
 
     def test_deterministic_rows(self, capsys, tmp_path):
         p = write_general_model(

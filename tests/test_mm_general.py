@@ -11,8 +11,6 @@ from fedagg import mm_general
 from fedagg.mm_general import (
     OptimizeResult,
     build_surrogate,
-    chi_xi,
-    expansion_matrices,
     find_feasible_init,
     mm_loop,
     optimize,
@@ -27,7 +25,7 @@ from fedagg.region import (
     is_feasible,
     sum_mutual_info,
 )
-from oracles import grid_search, quad_form_lower_bound
+from oracles import chi_xi, grid_search, quad_form_lower_bound
 from test_barrier import count_barrier_evaluations
 
 
@@ -73,13 +71,10 @@ class TestChiXi:
             q = MbtcParams(qv)
             for mask in range(1, 1 << 4):
                 S = [m for m in range(4) if mask >> m & 1]
+                bound = chi_xi(model.sigma_x, qv, qv, S)
                 if len(S) == 4:
-                    G = expansion_matrices(model, q, S)
-                    bound = chi_xi(model, None, G, q, S)
                     exact = sum_mutual_info(model, q)
                 else:
-                    E, F = expansion_matrices(model, q, S)
-                    bound = chi_xi(model, E, F, q, S)
                     exact = cond_mutual_info(model, q, S)
                 assert bound == pytest.approx(exact, abs=1e-9)
 
@@ -91,13 +86,10 @@ class TestChiXi:
             q = MbtcParams(rng.uniform(0.05, 3.0, size=3))
             for mask in range(1, 1 << 3):
                 S = [m for m in range(3) if mask >> m & 1]
+                bound = chi_xi(model.sigma_x, q_hat.q, q.q, S)
                 if len(S) == 3:
-                    G = expansion_matrices(model, q_hat, S)
-                    bound = chi_xi(model, None, G, q, S)
                     exact = sum_mutual_info(model, q)
                 else:
-                    E, F = expansion_matrices(model, q_hat, S)
-                    bound = chi_xi(model, E, F, q, S)
                     exact = cond_mutual_info(model, q, S)
                 assert bound >= exact - 1e-10
 
@@ -109,8 +101,8 @@ class TestSurrogate:
         budget = RateBudget(np.array([5.0, 5.0, 5.0]))
         q_hat = find_feasible_init(model, budget)
         prob = build_surrogate(model, budget, q_hat)
-        vals = prob.constraint_values(q_hat.q)
-        for mask, val in zip(prob.masks, vals):
+        vals = prob.value(q_hat.q)
+        for mask, val in zip(range(1, 1 << 3), vals):
             S = [m for m in range(3) if mask >> m & 1]
             if len(S) == 3:
                 exact = sum_mutual_info(model, q_hat)
@@ -132,17 +124,15 @@ class TestSurrogate:
         budget = RateBudget(np.full(M, sum_mutual_info(model, q_hat)))
         prob = build_surrogate(model, budget, q_hat)
         members = all_subsets(M)
-        rows_at_hat = prob.constraint_values(q_hat) + prob.budgets
-        rows_at_q = prob.constraint_values(q) + prob.budgets
+        rows_at_hat = prob.value(q_hat) + prob.budgets
+        rows_at_q = prob.value(q) + prob.budgets
         np.testing.assert_allclose(
             rows_at_hat, _required_bits(model, q_hat, members), rtol=0, atol=1e-9
         )
         assert np.all(rows_at_q - _required_bits(model, q, members) >= -1e-9)
         for row, value in zip(members, rows_at_q):
             S = np.flatnonzero(row)
-            em = expansion_matrices(model, q_hat, S)
-            E, F = em if isinstance(em, tuple) else (None, em)
-            assert chi_xi(model, E, F, q, S) == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert chi_xi(model.sigma_x, q_hat, q, S) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
     def test_rejects_infeasible_expansion(self):
         model = GaussianSourceModel(sigma_x=np.eye(2), c=np.ones(2))

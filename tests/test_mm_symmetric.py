@@ -1,5 +1,7 @@
 """Tests for the grouped symmetric-rate optimizer."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +36,13 @@ class TestEnumerateSelections:
         sel = enumerate_selections([4])
         assert sel.shape == (4, 1)
         assert set(sel[:, 0].tolist()) == {1, 2, 3, 4}
+
+    def test_order_is_product_order(self):
+        for sizes in ([2, 3], [4], [1, 0, 2], [3, 1, 2, 1]):
+            expected = [v for v in product(*(range(s + 1) for s in sizes)) if sum(v) >= 1]
+            sel = enumerate_selections(sizes)
+            assert sel.dtype == np.dtype(int)
+            assert [tuple(r) for r in sel.tolist()] == expected
 
     def test_rejects_oversized_enumeration(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from fedagg.model import (
 from fedagg.region import cond_mutual_info, distortion, sum_mutual_info
 from fedagg.seeds import seed_stream
 from fedagg.simulate import (
+    _fit_symmetric,
     baseline_aggregate,
     mbtc_aggregator,
     mbtc_aggregate,
@@ -209,6 +210,19 @@ class TestMbtcAggregate:
             for m in range(M)
         ]
         assert np.array_equal(res.rate_report, expected)
+
+    def test_symmetric_groups_devices_by_budget(self):
+        # Groups follow the budgets' first occurrence; each device takes its
+        # group's q, and a larger budget buys less noise.
+        y = np.stack(synthetic_sources(0.6, 5, 1024, seed=13))
+        batch = DeviceUpdateBatch(updates=y, rotation_seed=14)
+        budget = RateBudget(np.array([2.0, 1.0, 2.0, 3.0, 1.0]))
+        sym, group = _fit_symmetric(empirical_covariance(batch.mean_removed), budget)
+        assert sym.groups == ((2, 2.0), (2, 1.0), (1, 3.0))
+        assert group.tolist() == [0, 1, 0, 2, 1]
+        q = mbtc_aggregate(batch, np.full(5, 0.2), budget, optimizer_choice="symmetric").q.q
+        assert q[0] == q[2] and q[1] == q[4]
+        assert q[3] < q[0] < q[1]
 
     def test_rejects_unknown_optimizer(self):
         y = np.stack(synthetic_sources(0.5, 2, 64, seed=0))
