@@ -8,7 +8,6 @@ from .model import (  # noqa: F401
     GaussianSourceModel,
     MbtcParams,
     RateBudget,
-    RdTuple,
     SymmetricSourceModel,
     empirical_covariance,
     symmetric_covariance,

@@ -73,31 +73,44 @@ def _parse_rates(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def cmd_optimize(args) -> int:
+def _per_device_values(text, M, flag, shared=False) -> np.ndarray:
+    """A comma list of M per-device values; with shared, one value serves all."""
+    values = _parse_rates(text)
+    if shared and len(values) == 1:
+        values = values * M
+    if len(values) != M:
+        raise ValueError(f"{flag} needs {M} comma-separated values, got {len(values)}")
+    return np.asarray(values)
+
+
+def _load_model(args):
+    """--model and its --budget, None for a symmetric model (its groups set the rates)."""
     with open(args.model) as fh:
         model = load_model(fh.read())
     if isinstance(model, SymmetricSourceModel):
+        if args.budget is not None:
+            raise ValueError("--budget does not apply to a symmetric model's group rates")
+        return model, None
+    if args.budget is None:
+        raise ValueError("--budget is required for a general model")
+    return model, RateBudget(_per_device_values(args.budget, model.M, "--budget"))
+
+
+def cmd_optimize(args) -> int:
+    model, budget = _load_model(args)
+    if budget is None:
         res = mm_symmetric.optimize_symmetric(
             model, args.lam, eps=args.eps, max_iter=args.max_iter
         )
-        q = res.q.q
-        d_star = res.distortion
         trace = res.objective_trace
-        iterations = res.iterations
     else:
-        if args.budget is None:
-            raise ValueError("--budget is required for a general model")
-        budget = RateBudget(np.asarray(_parse_rates(args.budget)))
         res = mm_general.optimize(model, budget, eps=args.eps, max_iter=args.max_iter)
-        q = res.q.q
-        d_star = res.distortion
         trace = res.trace
-        iterations = res.iterations
     out_json = _out_path(args.out, "optimize.json")
     payload = {
-        "q_star": [float(v) for v in q],
-        "D_star": d_star,
-        "iterations": iterations,
+        "q_star": [float(v) for v in res.q.q],
+        "D_star": res.distortion,
+        "iterations": res.iterations,
         "trace": [float(v) for v in trace],
     }
     with open(out_json, "w") as fh:
@@ -158,10 +171,9 @@ def _make_aggregator(spec_text, budget_rates, M):
     if spec_text == "mbtc":
         if budget_rates is None:
             raise ValueError("--budget is required for the mbtc aggregator")
-        rates = _parse_rates(budget_rates)
-        if len(rates) == 1:
-            rates = rates * M
-        return simulate.mbtc_aggregator(RateBudget(np.asarray(rates)))
+        return simulate.mbtc_aggregator(
+            RateBudget(_per_device_values(budget_rates, M, "--budget", shared=True))
+        )
     raise ValueError(f"unknown aggregator {spec_text!r}")
 
 
@@ -230,17 +242,12 @@ def _builtin_verify() -> int:
 def cmd_verify(args) -> int:
     if args.model is None:
         return _builtin_verify()
-    with open(args.model) as fh:
-        model = load_model(fh.read())
-    if isinstance(model, SymmetricSourceModel):
+    model, budget = _load_model(args)
+    if budget is None:
         model, budget = model.expand(args.lam)
-    else:
-        if args.budget is None:
-            raise ValueError("--budget is required for a general model")
-        budget = RateBudget(np.asarray(_parse_rates(args.budget)))
     if args.q is None:
         raise ValueError("--q is required with --model")
-    q = MbtcParams(np.asarray(_parse_rates(args.q)))
+    q = MbtcParams(_per_device_values(args.q, model.M, "--q"))
     rows = constraint_report(model, q, budget)
     print("subset_mask,required_bits,budget_bits,slack")
     for mask, req, have, slack in rows:

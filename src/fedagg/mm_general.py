@@ -45,26 +45,27 @@ HALF_LOG2E = 0.5 * LOG2E
 class SurrogateProblem(ConstraintSet):
     """Convex surrogate: minimize sum b_m^2 q_m s.t. linear-minus-log rate rows.
 
-    Row i, subset mask i + 1, reads: linear_weights[i] . q
-    - 0.5 * sum_{m in log_mask[i]} log2(q_m) + constants[i] <= budgets[i].
+    Row i reads: linear_weights[i] . q - 0.5 * log_weights[i] . log2(q)
+    + constants[i] <= budgets[i]; in ``build_surrogate`` row i is subset mask
+    i + 1 and log_weights its membership.
     """
 
     objective_weights: np.ndarray  # b_m^2
     linear_weights: np.ndarray  # (n, M)
-    log_mask: np.ndarray  # (n, M) bool
+    log_weights: np.ndarray  # (n, M) membership (bool) or counts
     constants: np.ndarray  # (n,)
     budgets: np.ndarray  # (n,)
     expansion_point: np.ndarray
 
     def value(self, q):
-        logs = self.log_mask @ np.log2(q)
+        logs = self.log_weights @ np.log2(q)
         return self.linear_weights @ q - 0.5 * logs + self.constants - self.budgets
 
     def grad(self, q):
-        return self.linear_weights - HALF_LOG2E * self.log_mask / q[None, :]
+        return self.linear_weights - HALF_LOG2E * self.log_weights / q[None, :]
 
     def hess_weighted(self, q, w):
-        return np.diag(HALF_LOG2E * (w @ self.log_mask) / q**2)
+        return np.diag(HALF_LOG2E * (w @ self.log_weights) / q**2)
 
 
 def build_surrogate(
@@ -90,7 +91,7 @@ def build_surrogate(
     return SurrogateProblem(
         objective_weights=b**2,
         linear_weights=lin,
-        log_mask=members,
+        log_weights=members,
         constants=bits - lin @ qv + 0.5 * members @ np.log2(qv),
         budgets=budgets,
         expansion_point=qv.copy(),

@@ -196,20 +196,6 @@ class MbtcParams:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
-class RdTuple:
-    """A candidate rate-distortion point: per-device rates plus distortion."""
-
-    rates: np.ndarray
-    distortion: float
-
-    def __post_init__(self):
-        rates = np.atleast_1d(np.asarray(self.rates, dtype=float))
-        if self.distortion < 0:
-            raise ValueError(f"distortion must be nonnegative, got {self.distortion}")
-        object.__setattr__(self, "rates", _readonly(rates))
-
-
 def empirical_covariance(updates) -> np.ndarray:
     """Cross second moments g_i . g_j / N of mean-removed update vectors."""
     vecs = [np.asarray(u, dtype=float) for u in updates]

@@ -11,10 +11,10 @@ import numpy as np
 from fedagg.cli import run
 from fedagg.mm_general import build_surrogate, optimize
 from fedagg.mm_symmetric import (
+    _build_surrogate,
     enumerate_selections,
     optimize_symmetric,
     theta,
-    theta_up,
 )
 from fedagg.model import (
     GaussianSourceModel,
@@ -133,7 +133,8 @@ def test_criterion_4_surrogate_tightness_and_monotonicity():
                 )
                 ok &= abs(val - (exact - np.sum(budget.r[S]))) < 1e-9
         ok &= bool(np.all(np.diff(np.array(res.trace)) >= -1e-10))
-    # 10 symmetric instances: tangent rows tight at the expansion point.
+    # 10 symmetric instances: the solver's tangent rows tight at the
+    # expansion point.
     rng = np.random.default_rng(401)
     for _ in range(10):
         rho = rng.uniform(0.1, 0.9)
@@ -143,9 +144,10 @@ def test_criterion_4_surrogate_tightness_and_monotonicity():
         sizes = [s for s, _ in groups]
         sels = enumerate_selections(sizes)
         for q_hat in res.iterates:
-            for sel in sels:
-                up = theta_up(rho, 1.0, sizes, q_hat, sel, q_hat)
-                ok &= abs(up - theta(rho, 1.0, sizes, q_hat, sel)) < 1e-9
+            rows = _build_surrogate(sym, sels, q_hat).value(q_hat)
+            for sel, row in zip(sels, rows):
+                exact = theta(rho, 1.0, sizes, q_hat, sel) - sel @ sym.group_rates
+                ok &= abs(row - exact) < 1e-9
         ok &= bool(np.all(np.diff(np.array(res.objective_trace)) >= -1e-10))
     assert report(4, "surrogate tightness and MM monotonicity", ok)
 

@@ -51,6 +51,35 @@ class TestExitCodes:
         assert run(["--help"]) == 0
 
 
+def assert_rejected(tmp_path, argv):
+    """argv ends in a config error (exit 3) before any output file is written."""
+    before = set(tmp_path.iterdir())
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 3
+    assert set(tmp_path.iterdir()) == before
+
+
+class TestMisplacedInputs:
+    def test_optimize_symmetric_rejects_budget(self, capsys, tmp_path):
+        p = write_symmetric_model(tmp_path / "s.json")
+        assert_rejected(tmp_path, ["optimize", "--model", p, "--budget", "9,9"])
+
+    def test_verify_symmetric_rejects_budget(self, capsys, tmp_path):
+        p = write_symmetric_model(tmp_path / "s.json")
+        assert_rejected(tmp_path, ["verify", "--model", p, "--budget", "9,9", "--q", "1,1"])
+
+    def test_optimize_rejects_missized_budget(self, capsys, tmp_path):
+        p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
+        assert_rejected(tmp_path, ["optimize", "--model", p, "--budget", "1,1,1"])
+
+    def test_fl_train_rejects_missized_mbtc_budget(self, capsys, tmp_path):
+        assert_rejected(tmp_path, ["fl-train", "--devices", "4", "--dim", "8", "--rounds", "1",
+                                   "--aggregator", "mbtc", "--budget", "1,2", "--seed", "1"])
+
+    def test_verify_rejects_missized_q(self, capsys, tmp_path):
+        p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
+        assert_rejected(tmp_path, ["verify", "--model", p, "--budget", "1,1", "--q", "1,1,1"])
+
+
 class TestOptimize:
     def test_single_source_output(self, capsys, tmp_path):
         p = write_general_model(tmp_path / "m.json", [[1.0]], [1.0])

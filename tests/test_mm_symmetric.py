@@ -10,13 +10,12 @@ from fedagg import mm_symmetric
 from fedagg.flharness import mbtc_aggregator, random_task, run_training
 from fedagg.mm_general import optimize
 from fedagg.mm_symmetric import (
-    _ThetaUpConstraints,
+    _build_surrogate,
     enumerate_selections,
     optimize_symmetric,
     symmetric_distortion,
     symmetric_objective,
     theta,
-    theta_up,
 )
 from fedagg.model import MbtcParams, RateBudget, SymmetricSourceModel
 from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
@@ -76,18 +75,34 @@ class TestThetaReduction:
             full = theta(rho, sigma2, [2, 3], qg, (2, 3))
             assert full == pytest.approx(sum_mutual_info(gmodel, q), abs=1e-10)
 
-    def test_theta_up_tight_and_majorizing(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            rho = rng.uniform(0.1, 0.95)
-            qg = rng.uniform(0.05, 2.0, size=2)
-            q_hat = rng.uniform(0.05, 2.0, size=2)
-            for sel in ((1, 0), (2, 1), (3, 2)):
-                at_hat = theta_up(rho, 1.0, [3, 2], q_hat, sel, q_hat)
-                assert at_hat == pytest.approx(theta(rho, 1.0, [3, 2], q_hat, sel), abs=1e-12)
-                assert theta_up(rho, 1.0, [3, 2], qg, sel, q_hat) >= theta(
-                    rho, 1.0, [3, 2], qg, sel
-                ) - 1e-12
+
+def exact_rows(model: SymmetricSourceModel, q, selections) -> np.ndarray:
+    """Exact theta(q, s) - s . r for every selection, one batched call."""
+    bits = theta(model.rho, model.sigma2, model.group_sizes, q, selections)
+    return bits - selections @ model.group_rates
+
+
+class TestGroupedSurrogate:
+    @given(
+        rho=st.floats(0.0, 0.95),
+        sigma2=st.floats(0.5, 2.0),
+        groups=st.lists(
+            st.tuples(st.integers(1, 5), st.floats(0.5, 3.0)), min_size=1, max_size=3
+        ),
+        log_q_hat=st.lists(st.floats(-3.0, 2.0), min_size=3, max_size=3),
+        log_q=st.lists(st.floats(-3.0, 2.0), min_size=3, max_size=3),
+    )
+    def test_rows_tight_and_majorizing(self, rho, sigma2, groups, log_q_hat, log_q):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=tuple(groups))
+        J = len(groups)
+        q_hat, q = 10.0 ** np.array(log_q_hat[:J]), 10.0 ** np.array(log_q[:J])
+        sel = enumerate_selections(model.group_sizes)
+        batched = theta(rho, sigma2, model.group_sizes, q, sel)
+        one_row = [theta(rho, sigma2, model.group_sizes, q, s) for s in sel]
+        assert np.abs(batched - one_row).max() <= 1e-12
+        problem = _build_surrogate(model, sel, q_hat)
+        assert np.abs(problem.value(q_hat) - exact_rows(model, q_hat, sel)).max() <= 1e-9
+        assert np.all(problem.value(q) >= exact_rows(model, q, sel) - 1e-9)
 
 
 class TestSymmetricDistortion:
@@ -166,9 +181,9 @@ class TestOptimizeSymmetric:
         res = optimize_symmetric(model, 1 / 60)
         sel = enumerate_selections(model.group_sizes)
         assert sel.shape[0] == 9260
-        slack = _ThetaUpConstraints(model, sel, res.q_groups).value(res.q_groups)
-        assert np.all(slack <= 1e-9)
-        assert slack.max() >= -1e-6
+        rows = exact_rows(model, res.q_groups, sel)
+        assert np.all(rows <= 1e-9)
+        assert rows.max() >= -1e-6
 
     def test_converges_on_drawn_model_8_7(self):
         # default_rng([8, 7]) draws rho 0.5585 and rates (0.9111, 1.0951,
@@ -181,7 +196,7 @@ class TestOptimizeSymmetric:
         model = SymmetricSourceModel(rho=rho, sigma2=1.0, groups=groups)
         res = optimize_symmetric(model, 1 / 60)
         sel = enumerate_selections(model.group_sizes)
-        rows = _ThetaUpConstraints(model, sel, res.q_groups).value(res.q_groups)
+        rows = exact_rows(model, res.q_groups, sel)
         assert -1e-6 <= rows.max() <= 1e-9
         assert res.distortion <= 0.0021117
 

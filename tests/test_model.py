@@ -8,7 +8,6 @@ from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
     RateBudget,
-    RdTuple,
     SymmetricSourceModel,
     empirical_covariance,
     load_model,
@@ -161,10 +160,6 @@ class TestOtherTypes:
         MbtcParams(np.array([1e-12, np.inf]))
         with pytest.raises(ValueError):
             MbtcParams(np.array([1e-13]))
-
-    def test_rd_tuple_rejects_negative_distortion(self):
-        with pytest.raises(ValueError):
-            RdTuple(rates=np.array([1.0]), distortion=-0.1)
 
     def test_model_json_is_valid_json(self):
         doc = json.loads(GaussianSourceModel(sigma_x=np.eye(1), c=np.ones(1)).to_json())
