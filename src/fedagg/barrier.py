@@ -36,23 +36,6 @@ MAX_NEWTON_TOTAL = 200
 logger = logging.getLogger(__name__)
 
 
-class ConstraintSet:
-    """Interface for a batch of smooth convex constraints g(x) <= 0.
-
-    value(x) -> (n,) array; grad(x) -> (n, dim) array;
-    hess_weighted(x, w) -> (dim, dim) array equal to sum_i w_i * Hess g_i(x).
-    """
-
-    def value(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def grad(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def hess_weighted(self, x, w):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 def interior_start(values, x_hat, x_min):
     """A strictly interior point near an expansion point x_hat.
 
@@ -84,18 +67,23 @@ def _solve_shifted(k, rhs):
     raise SolverError("reduced Newton matrix is singular")
 
 
-def minimize_linear(f, cons: ConstraintSet, x0, x_min=0.0):
+def minimize_linear(f, cons, x0, x_min=0.0):
     """Minimize f'x over {g(x) <= 0, x >= x_min} from a strictly feasible x0
     to a point where every row is <= 0. Raises SolverError, carrying the last
-    strictly feasible iterate, after MAX_NEWTON_TOTAL iterations."""
+    strictly feasible iterate, after MAX_NEWTON_TOTAL iterations.
+
+    cons is the constraint set of n smooth convex rows g(x) <= 0: value(x) ->
+    (n,) array; grad(x) -> (n, dim) array; hess_weighted(x, w) -> (dim, dim)
+    array equal to sum_i w_i * Hess g_i(x)."""
     f, x = np.asarray(f, dtype=float), np.array(x0, dtype=float)
     dim = x.shape[0]
     x_min = np.broadcast_to(np.asarray(x_min, dtype=float), (dim,))
+    floor_jac = -np.eye(dim)  # built once: the floor rows do not move
 
     def rows(xx):  # the constraint rows, then the floor rows
         return np.concatenate([cons.value(xx), x_min - xx])
     def jacobian(xx):
-        return np.vstack([cons.grad(xx), -np.eye(dim)])
+        return np.vstack([cons.grad(xx), floor_jac])
 
     g, jac = rows(x), jacobian(x)
     if not (g < 0).all():

@@ -47,16 +47,15 @@ def _out_path(path, default_name):
     return os.path.join(outdir, default_name)
 
 
-def _write_csv(path, header_units, columns, rows):
-    with open(path, "w", newline="") as fh:
+def _write_outputs(out, header, rows, config, seed=None, csv_suffix=None):
+    """Write rows as CSV to out, or to its stem + csv_suffix, then <stem>_meta.json."""
+    stem = os.path.splitext(out)[0]
+    with open(stem + csv_suffix if csv_suffix else out, "w", newline="") as fh:
         fh.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         writer = csv.writer(fh)
-        writer.writerow([f"{c} [{u}]" if u else c for c, u in zip(columns, header_units)])
+        writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _write_sidecar(path, config, seed):
     doc = {
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()
@@ -65,7 +64,7 @@ def _write_sidecar(path, config, seed):
         "version": __version__,
         "config": config,
     }
-    with open(path, "w") as fh:
+    with open(stem + "_meta.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
@@ -115,19 +114,13 @@ def cmd_optimize(args) -> int:
     }
     with open(out_json, "w") as fh:
         json.dump(payload, fh, indent=2)
-    csv_path = out_json.rsplit(".", 1)[0] + "_trace.csv"
-    _write_csv(
-        csv_path,
-        ["", ""],
+    _write_outputs(
+        out_json,
         ["iteration", "objective"],
         [(i, float(v)) for i, v in enumerate(trace)],
-    )
-    _write_sidecar(
-        out_json.rsplit(".", 1)[0] + "_meta.json",
         {"command": "optimize", "model": args.model, "budget": args.budget,
-         "lambda": args.lam,
-         "eps": args.eps, "max_iter": args.max_iter},
-        None,
+         "lambda": args.lam, "eps": args.eps, "max_iter": args.max_iter},
+        csv_suffix="_trace.csv",
     )
     print(json.dumps(payload))
     return 0
@@ -142,15 +135,11 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
         schemes=args.schemes.split(","),
     )
-    path = _out_path(args.out, "sweep.csv")
-    _write_csv(
-        path,
-        ["", "", "bits/symbol", "bits/symbol", "squared error per symbol", ""],
-        ["scheme", "rho", "rate_bits", "charged_bits", "distortion", "seed"],
+    _write_outputs(
+        _out_path(args.out, "sweep.csv"),
+        ["scheme", "rho", "rate_bits [bits/symbol]", "charged_bits [bits/symbol]",
+         "distortion [squared error per symbol]", "seed"],
         rows,
-    )
-    _write_sidecar(
-        path.rsplit(".", 1)[0] + "_meta.json",
         {"command": "sweep-distortion", "rho": args.rho, "rates": args.rates,
          "M": args.M, "N": args.N, "schemes": args.schemes,
          "rate_accounting": "fixed-width codes; surrogate rates are analytic MI values"},
@@ -196,15 +185,11 @@ def cmd_fl_train(args) -> int:
                 rate_max,
             )
         )
-    path = _out_path(args.out, "fl_train.csv")
-    _write_csv(
-        path,
-        ["", "loss units", "squared error per symbol", "loss units", "bits/symbol"],
-        ["round", "loss_gap", "error_energy", "bound_value", "rate_max"],
+    _write_outputs(
+        _out_path(args.out, "fl_train.csv"),
+        ["round", "loss_gap [loss units]", "error_energy [squared error per symbol]",
+         "bound_value [loss units]", "rate_max [bits/symbol]"],
         rows,
-    )
-    _write_sidecar(
-        path.rsplit(".", 1)[0] + "_meta.json",
         {"command": "fl-train", "devices": args.devices, "dim": args.dim,
          "samples_per_device": args.samples_per_device, "rounds": args.rounds,
          "aggregator": args.aggregator, "budget": args.budget},
@@ -253,11 +238,13 @@ def cmd_verify(args) -> int:
     for mask, req, have, slack in rows:
         print(f"{mask},{_fmt(req)},{_fmt(have)},{_fmt(slack)}")
     if args.out:
-        _write_csv(
+        _write_outputs(
             args.out,
-            ["", "bits/symbol", "bits/symbol", "bits/symbol"],
-            ["subset_mask", "required_bits", "budget_bits", "slack"],
+            ["subset_mask", "required_bits [bits/symbol]", "budget_bits [bits/symbol]",
+             "slack [bits/symbol]"],
             rows,
+            {"command": "verify", "model": args.model, "budget": args.budget,
+             "q": args.q, "lambda": args.lam},
         )
     return 0
 

@@ -103,16 +103,6 @@ def local_gradient(theta, task: QuadraticTask, m: int) -> np.ndarray:
     return a.T @ (a @ theta - y) / a.shape[0] + task.mu * theta
 
 
-def multi_epoch_local_update(theta, task: QuadraticTask, m: int, steps: int, lr: float):
-    """Parameter change after `steps` full-batch local gradient steps."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    local = np.array(theta, dtype=float)
-    for _ in range(steps):
-        local = local - lr * local_gradient(local, task, m)
-    return np.asarray(theta, dtype=float) - local
-
-
 def fl_round(theta, task: QuadraticTask, aggregator, eta: float, round_seed: int = 0):
     """One synchronous round: local gradients, aggregation, global step."""
     gradients = [local_gradient(theta, task, m) for m in range(task.M)]
@@ -160,21 +150,6 @@ def run_training(task: QuadraticTask, aggregator, T: int, seed: int = 0) -> Trai
         bound_value=np.array(bounds),
         rate_reports=tuple(reports),
     )
-
-
-def unrolled_bound(initial_gap: float, error_energies, omega: float, big_omega: float):
-    """Closed-form unrolled bound; equals the recursion algebraically.
-
-    error_energies are the unnormalized squared error norms ||e^(t)||^2
-    (TrainTrace stores ||e||^2 / N, so multiply by N before passing).
-    """
-    contraction = 1.0 - omega / big_omega
-    e = np.asarray(error_energies, dtype=float)
-    t = e.shape[0]
-    out = initial_gap * contraction**t
-    for i, energy in enumerate(e):
-        out += contraction ** (t - 1 - i) * energy / (2.0 * big_omega)
-    return out
 
 
 def random_task(M: int, N: int, samples_per_device: int, seed: int, mu: float = 0.1):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import ConstraintSet, interior_start, minimize_linear
+from .barrier import interior_start, minimize_linear
 from .errors import SolverError
 from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
 from .region import (
@@ -42,7 +42,7 @@ HALF_LOG2E = 0.5 * LOG2E
 
 
 @dataclass(frozen=True)
-class SurrogateProblem(ConstraintSet):
+class SurrogateProblem:
     """Convex surrogate: minimize sum b_m^2 q_m s.t. linear-minus-log rate rows.
 
     Row i reads: linear_weights[i] . q - 0.5 * log_weights[i] . log2(q)

@@ -1,5 +1,5 @@
-"""Data pre/post-processing: mean removal, segmented random rotation, inverse
-transform, and the update-batch container.
+"""Data pre/post-processing: segmented random rotation, inverse transform, and
+the update-batch container, which also removes the means.
 
 Segments are rotated by a randomized Hartley transform (FFT, no stored matrix);
 the shared randomness is modeled by a 64-bit seed carried with the batch.
@@ -7,7 +7,6 @@ the shared randomness is modeled by a 64-bit seed carried with the batch.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,16 +15,6 @@ import numpy as np
 from .seeds import seed_stream
 
 DEFAULT_SEGMENT_LEN = 1024
-
-
-def mean_remove(g):
-    """Split a vector (or row-stacked vectors) into mean-removed part and mean(s)."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 1:
-        g_bar = float(np.mean(g))
-        return g - g_bar, g_bar
-    g_bar = g.mean(axis=1)
-    return g - g_bar[:, None], g_bar
 
 
 def haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,17 +108,3 @@ class DeviceUpdateBatch:
     @cached_property
     def rotated(self) -> np.ndarray:
         return haar_rotate(self.mean_removed, self.rotation_seed, self.segment_len)
-
-    def to_bytes(self) -> bytes:
-        header = struct.pack("<qqqq", self.M, self.N, self.segment_len, self.rotation_seed)
-        return header + self.updates.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "DeviceUpdateBatch":
-        if len(blob) < 32:
-            raise ValueError(f"blob of {len(blob)} bytes has no 32-byte header")
-        m, n, seg, seed = struct.unpack_from("<qqqq", blob)
-        if min(m, n, seg) < 1 or len(blob) != 32 + 8 * m * n:
-            raise ValueError(f"header M={m}, N={n}, segment_len={seg} for {len(blob)} bytes")
-        body = np.frombuffer(blob, dtype="<f8", offset=32).reshape(m, n)
-        return cls(updates=body.copy(), rotation_seed=seed, segment_len=seg)

@@ -284,6 +284,21 @@ def chi_xi(sigma, q_hat, q, S) -> float:
     return float(chi - 0.5 * np.sum(np.log2(q[S])))
 
 
+def unrolled_bound(initial_gap: float, error_energies, omega: float, big_omega: float):
+    """Closed-form unrolled bound; equals the recursion algebraically.
+
+    error_energies are the unnormalized squared error norms ||e^(t)||^2
+    (TrainTrace stores ||e||^2 / N, so multiply by N before passing).
+    """
+    contraction = 1.0 - omega / big_omega
+    e = np.asarray(error_energies, dtype=float)
+    t = e.shape[0]
+    out = initial_gap * contraction**t
+    for i, energy in enumerate(e):
+        out += contraction ** (t - 1 - i) * energy / (2.0 * big_omega)
+    return out
+
+
 @dataclass(frozen=True)
 class Assumption1Spec:
     """Linear-combination source model: updates = coefficients @ base vectors."""

@@ -29,7 +29,6 @@ from fedagg.flharness import (
     random_task,
     run_training,
     smoothness_constants,
-    unrolled_bound,
 )
 from fedagg.region import cond_mutual_info, sum_mutual_info
 from fedagg.seeds import seed_stream
@@ -39,7 +38,7 @@ from fedagg.transform import (
     haar_derotate,
     haar_rotate,
 )
-from oracles import gaussianization_check, grid_search
+from oracles import gaussianization_check, grid_search, unrolled_bound
 
 
 def report(num: int, name: str, ok: bool) -> bool:

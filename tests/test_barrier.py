@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedagg import barrier
-from fedagg.barrier import ConstraintSet, interior_start, minimize_linear
+from fedagg.barrier import interior_start, minimize_linear
 from fedagg.errors import SolverError
 from fedagg.mm_general import build_surrogate, find_feasible_init
 from fedagg.model import Q_MIN, GaussianSourceModel, RateBudget
 from oracles import lp_vertex_minimum
 
 
-class HalfspaceConstraints(ConstraintSet):
+class HalfspaceConstraints:
     """Rows a_i . x <= b_i."""
 
     def __init__(self, A, b):
@@ -35,7 +35,7 @@ class HalfspaceConstraints(ConstraintSet):
         return np.zeros((x.shape[0], x.shape[0]))
 
 
-class CountingConstraints(ConstraintSet):
+class CountingConstraints:
     """Wraps a constraint set and counts the solver's calls into it."""
 
     def __init__(self, inner):

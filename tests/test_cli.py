@@ -120,6 +120,16 @@ class TestOptimize:
             outs.append((out.read_text(), result_rows(trace)))
         assert outs[0] == outs[1]
 
+    def test_side_files_stay_in_dotted_directory(self, capsys, tmp_path):
+        p = write_general_model(tmp_path / "m.json", [[1.0]], [1.0])
+        out_dir = tmp_path / "res.d"
+        out_dir.mkdir()
+        assert run(["optimize", "--model", p, "--budget", "1.0",
+                    "--out", str(out_dir / "opt")]) == 0
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "opt", "opt_meta.json", "opt_trace.csv"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.json", "res.d"]
+
 
 class TestSweep:
     def test_rows_deterministic(self, capsys, tmp_path):
@@ -169,10 +179,12 @@ class TestVerify:
             tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5]
         )
         assert run(["verify", "--model", p, "--budget", "1.0,1.0",
-                    "--q", "1.0,1.0"]) == 0
+                    "--q", "1.0,1.0", "--out", str(tmp_path / "v.csv")]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "subset_mask,required_bits,budget_bits,slack"
         assert len(lines) == 1 + 3  # 2^2 - 1 subsets
+        assert len(result_rows(tmp_path / "v.csv")) == 1 + 3
+        assert (tmp_path / "v_meta.json").exists()
 
     def test_q_required_with_model(self, capsys, tmp_path):
         p = write_general_model(tmp_path / "m.json", [[1.0]], [1.0])

@@ -9,16 +9,14 @@ from fedagg.flharness import (
     fl_round,
     local_gradient,
     mbtc_aggregator,
-    multi_epoch_local_update,
     qsgd_aggregator,
     random_task,
     run_training,
     smoothness_constants,
     uniform_aggregator,
-    unrolled_bound,
 )
 from fedagg.model import RateBudget
-from oracles import power_iteration_extremes
+from oracles import power_iteration_extremes, unrolled_bound
 
 
 class TestTask:
@@ -68,17 +66,6 @@ class TestLocalGradient:
             e[i] = h
             fd = (task.local_loss(theta + e, 0) - task.local_loss(theta - e, 0)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=1e-5)
-
-    def test_single_step_update(self):
-        task = random_task(2, 4, samples_per_device=10, seed=7)
-        theta = np.ones(4)
-        delta = multi_epoch_local_update(theta, task, 1, steps=1, lr=0.05)
-        assert np.allclose(delta, 0.05 * local_gradient(theta, task, 1))
-
-    def test_rejects_zero_steps(self):
-        task = random_task(1, 2, samples_per_device=5, seed=8)
-        with pytest.raises(ValueError):
-            multi_epoch_local_update(np.zeros(2), task, 0, steps=0, lr=0.1)
 
 
 class TestTraining:

@@ -1,6 +1,5 @@
-"""Tests for mean removal, segment rotation, and device update batches."""
+"""Tests for segment rotation, the inverse transform, and device update batches."""
 
-import struct
 import sys
 
 import numpy as np
@@ -16,7 +15,6 @@ from fedagg.transform import (
     haar_matrix,
     haar_rotate,
     inverse_transform,
-    mean_remove,
 )
 from oracles import Assumption1Spec, assumption1_sources, gaussianization_check
 
@@ -136,23 +134,13 @@ def test_rotation_builds_no_dense_matrix(monkeypatch):
     assert np.isfinite(res.empirical_distortion)
 
 
-class TestMeanRemove:
-    def test_values(self):
-        g = np.array([[1.0, 3.0], [2.0, 2.0]])
-        removed, means = mean_remove(g)
-        assert np.allclose(means, [2.0, 2.0])
-        assert np.allclose(removed, [[-1.0, 1.0], [0.0, 0.0]])
-        assert np.abs(removed.mean(axis=1)).max() == 0.0
-
-
 class TestInverseTransform:
     def test_recovers_weighted_sum(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((4, 500))
         c = np.array([0.1, 0.2, 0.3, 0.4])
-        removed, means = mean_remove(g)
-        x = np.vstack([haar_rotate(r, seed=11, segment_len=128) for r in removed])
-        est = inverse_transform(c @ x, means, c, seed=11, segment_len=128)
+        batch = DeviceUpdateBatch(updates=g, rotation_seed=11, segment_len=128)
+        est = inverse_transform(c @ batch.rotated, batch.means, c, seed=11, segment_len=128)
         assert np.abs(est - c @ g).max() < 1e-9
 
 
@@ -169,39 +157,6 @@ class TestDeviceUpdateBatch:
         )
         # Row-wise and batched applications may round differently in the FFT.
         assert np.abs(batch.rotated - expect).max() < 1e-12
-
-    def test_bytes_round_trip(self):
-        rng = np.random.default_rng(7)
-        batch = DeviceUpdateBatch(
-            updates=rng.standard_normal((2, 33)), rotation_seed=42, segment_len=16
-        )
-        clone = DeviceUpdateBatch.from_bytes(batch.to_bytes())
-        assert np.array_equal(clone.updates, batch.updates)
-        assert clone.rotation_seed == 42 and clone.segment_len == 16
-
-    @pytest.mark.parametrize(
-        "m, n, seg, body_len",
-        [
-            (-1, 3, 16, 6),  # reshape(-1, n) would infer M = 2
-            (0, 0, 16, 0),
-            (2, 0, 16, 0),
-            (2, -3, 16, 6),
-            (2, 3, 0, 6),
-            (2, 3, -4, 6),
-            (2, 3, 16, 5),
-            (2, 3, 16, 7),
-        ],
-    )
-    def test_from_bytes_rejects_bad_header_or_body(self, m, n, seg, body_len):
-        blob = struct.pack("<qqqq", m, n, seg, 42) + np.zeros(body_len).tobytes()
-        with pytest.raises(ValueError):
-            DeviceUpdateBatch.from_bytes(blob)
-
-    def test_from_bytes_rejects_short_header(self):
-        blob = struct.pack("<qqqq", 2, 3, 16, 42)
-        for cut in (0, 8, 31):
-            with pytest.raises(ValueError):
-                DeviceUpdateBatch.from_bytes(blob[:cut])
 
 
 class TestAssumption1:
