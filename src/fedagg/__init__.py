@@ -16,7 +16,6 @@ from .model import (  # noqa: F401
 from .region import (  # noqa: F401
     cond_mutual_info,
     distortion,
-    evaluate_region,
     is_feasible,
     mmse_combiner,
     single_source_rd,

@@ -68,6 +68,14 @@ def _write_outputs(out, header, rows, config, seed=None, csv_suffix=None):
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
+def _positive_int(text) -> int:
+    """argparse type of a count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_rates(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -258,25 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--budget", help="comma list of per-device rates (bits/symbol)")
     p_opt.add_argument("--lam", type=float, default=1.0)
     p_opt.add_argument("--eps", type=float, default=1e-6)
-    p_opt.add_argument("--max-iter", type=int, default=200)
+    p_opt.add_argument("--max-iter", type=_positive_int, default=200)
     p_opt.add_argument("--out")
     p_opt.set_defaults(fn=cmd_optimize)
 
     p_sweep = sub.add_parser("sweep-distortion", help="distortion-vs-rate sweep")
     p_sweep.add_argument("--rho", type=float, action="append", required=True)
     p_sweep.add_argument("--rates", required=True, help="comma list, bits/symbol")
-    p_sweep.add_argument("--M", type=int, default=10)
-    p_sweep.add_argument("--N", type=int, default=2**17)
+    p_sweep.add_argument("--M", type=_positive_int, default=10)
+    p_sweep.add_argument("--N", type=_positive_int, default=2**17)
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--schemes", default="mbtc,qsgd,uniform")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_fl = sub.add_parser("fl-train", help="quadratic FL run with a chosen aggregator")
-    p_fl.add_argument("--devices", type=int, required=True)
-    p_fl.add_argument("--dim", type=int, required=True)
-    p_fl.add_argument("--samples-per-device", type=int, default=32)
-    p_fl.add_argument("--rounds", type=int, required=True)
+    p_fl.add_argument("--devices", type=_positive_int, required=True)
+    p_fl.add_argument("--dim", type=_positive_int, required=True)
+    p_fl.add_argument("--samples-per-device", type=_positive_int, default=32)
+    p_fl.add_argument("--rounds", type=_positive_int, required=True)
     p_fl.add_argument("--aggregator", required=True)
     p_fl.add_argument("--budget")
     p_fl.add_argument("--seed", type=int, required=True)

@@ -17,6 +17,7 @@ from .simulate import (  # noqa: F401  - aggregators are imported from here too
     baseline_aggregate,
     error_free_aggregator,
     mbtc_aggregator,
+    measure_distortion,
     qsgd_aggregator,
     uniform_aggregator,
 )
@@ -108,8 +109,7 @@ def fl_round(theta, task: QuadraticTask, aggregator, eta: float, round_seed: int
     gradients = [local_gradient(theta, task, m) for m in range(task.M)]
     c = task.weights
     g_hat, rate_report = aggregator(gradients, c, round_seed)
-    g_true = baseline_aggregate(gradients, c)
-    error_energy = float(np.sum((g_hat - g_true) ** 2) / task.N)
+    error_energy = measure_distortion(baseline_aggregate(gradients, c), g_hat)
     return theta - eta * g_hat, error_energy, rate_report
 
 

@@ -35,6 +35,7 @@ from .region import (
     by_complement_size,
     distortion,
     is_feasible,
+    mmse_combiner,
     slack_feasible,
 )
 
@@ -82,14 +83,13 @@ def build_surrogate(
         raise ValueError(f"expansion point is infeasible (worst slack {worst:.3e})")
     K = model.sigma_x + np.diag(qv)
     lin = np.tile(np.diag(np.linalg.inv(K)), (members.shape[0], 1))
-    for rows, _, comp in by_complement_size(members):
+    for rows, comp in by_complement_size(members):
         if comp.shape[1]:
             comp_inv = np.linalg.inv(K[comp[:, :, None], comp[:, None, :]])
             lin[rows[:, None], comp] -= np.diagonal(comp_inv, axis1=1, axis2=2)
     lin *= HALF_LOG2E
-    b = np.linalg.solve(K, model.sigma_x @ model.c)
     return SurrogateProblem(
-        objective_weights=b**2,
+        objective_weights=mmse_combiner(model, qv) ** 2,
         linear_weights=lin,
         log_weights=members,
         constants=bits - lin @ qv + 0.5 * members @ np.log2(qv),
@@ -104,22 +104,21 @@ def solve_surrogate(problem: SurrogateProblem) -> MbtcParams:
     return MbtcParams(minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN))
 
 
-def find_feasible_init(model: GaussianSourceModel, budget: RateBudget) -> MbtcParams:
-    """Uniform q = alpha*1, doubling alpha from trace/M until feasible."""
-    alpha = float(np.trace(model.sigma_x)) / model.M
+def doubling_start(alpha: float, dim: int, feasible) -> np.ndarray:
+    """Uniform start q = alpha*1 of both optimizers: double alpha until the
+    predicate feasible(q) holds."""
     for _ in range(200):
-        q = MbtcParams(np.full(model.M, alpha))
-        feasible, _ = is_feasible(model, q, budget)
-        if feasible:
+        q = np.full(dim, alpha)
+        if feasible(q):
             return q
         alpha *= 2.0
     raise SolverError("feasible initializer did not terminate")  # pragma: no cover
 
 
-def _original_objective(model: GaussianSourceModel, qv: np.ndarray) -> float:
-    sigma = model.sigma_x
-    a = sigma @ model.c
-    return float(a @ np.linalg.solve(sigma + np.diag(qv), a))
+def find_feasible_init(model: GaussianSourceModel, budget: RateBudget) -> MbtcParams:
+    """Uniform q = alpha*1, doubling alpha from trace/M until feasible."""
+    alpha = float(np.trace(model.sigma_x)) / model.M
+    return MbtcParams(doubling_start(alpha, model.M, lambda q: is_feasible(model, q, budget)[0]))
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def optimize(
     increase of the original objective drops below eps."""
     q, trace, iterates, iterations = mm_loop(
         find_feasible_init(model, budget).q,
-        lambda q: _original_objective(model, q),
+        lambda q: float(model.sigma_x @ model.c @ mmse_combiner(model, q)),
         lambda q: solve_surrogate(build_surrogate(model, budget, q)).q,
         eps,
         max_iter,

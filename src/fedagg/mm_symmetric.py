@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import interior_start, minimize_linear
-from .errors import SolverError
-from .mm_general import HALF_LOG2E, SurrogateProblem, mm_loop
+from .mm_general import HALF_LOG2E, SurrogateProblem, doubling_start, mm_loop
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 
 MAX_SELECTIONS = 10**6
@@ -102,29 +101,12 @@ def _build_surrogate(model: SymmetricSourceModel, selections, q_hat) -> Surrogat
     )
 
 
-def _find_feasible_groups(model: SymmetricSourceModel, selections) -> np.ndarray:
-    budgets = selections @ model.group_rates
-    alpha = model.sigma2
-    for _ in range(200):
-        q = np.full(len(model.group_sizes), alpha)
-        bits = theta(model.rho, model.sigma2, model.group_sizes, q, selections)
-        if np.all(bits - budgets <= 1e-12):
-            return q
-        alpha *= 2.0
-    raise SolverError("feasible initializer did not terminate")  # pragma: no cover
-
-
-def _bisect_one_group(model: SymmetricSourceModel, selections, q0: np.ndarray) -> np.ndarray:
-    """Smallest q, clamped at Q_MIN, whose exact one-group rows are all <= 0;
-    q0 is feasible. Each row falls strictly in q, so feasibility is monotone:
-    halve down to an infeasible point, then bisect geometrically until the
-    bracket stops shrinking, and return its feasible end."""
-    budgets = selections @ model.group_rates
-
-    def feasible(q):
-        bits = theta(model.rho, model.sigma2, model.group_sizes, q, selections)
-        return (bits - budgets).max() <= 0.0
-
+def _bisect_one_group(feasible, q0: np.ndarray) -> np.ndarray:
+    """Smallest q, clamped at Q_MIN, that meets the exact one-group rows
+    (feasible(q)); q0 is feasible. Each row falls strictly in q, so
+    feasibility is monotone: halve down to an infeasible point, then bisect
+    geometrically until the bracket stops shrinking, and return its feasible
+    end."""
     hi = float(q0[0])
     lo = 0.5 * hi
     while feasible(lo):
@@ -161,10 +143,14 @@ def optimize_symmetric(
 ) -> SymmetricOptimizeResult:
     """MM loop on the grouped recast problem (one group: exact bisection, one
     iteration); expands q per device at the end."""
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
+    if lam == 0 or not np.isfinite(lam):
+        raise ValueError(f"lambda must be nonzero and finite, got {lam}")
     sizes = model.group_sizes
     selections = enumerate_selections(sizes)
+    budgets = selections @ model.group_rates
+
+    def feasible(q):  # every exact row theta(q, s) - s . r is <= 0
+        return (theta(model.rho, model.sigma2, sizes, q, selections) - budgets).max() <= 0.0
 
     def objective(q):
         return symmetric_objective(model.rho, model.sigma2, sizes, q)
@@ -174,9 +160,9 @@ def optimize_symmetric(
         q0 = interior_start(problem.value, q, Q_MIN)
         return minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN)
 
-    q0 = _find_feasible_groups(model, selections)
+    q0 = doubling_start(model.sigma2, len(sizes), feasible)
     if len(sizes) == 1:
-        q = _bisect_one_group(model, selections, q0)
+        q = _bisect_one_group(feasible, q0)
         obj_trace, iterates, iterations = (objective(q0), objective(q)), (q0, q), 1
     else:
         q, obj_trace, iterates, iterations = mm_loop(q0, objective, step, eps, max_iter)

@@ -22,7 +22,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def validate_psd(matrix: np.ndarray) -> np.ndarray:
-    """Validate a symmetric matrix is PSD, adding jitter for tiny negative eigenvalues.
+    """Validate a finite symmetric matrix is PSD, adding jitter for tiny
+    negative eigenvalues.
 
     Eigenvalues in [-1e-10 * trace/M, 0) are absorbed by adding
     1e-12 * trace/M on the diagonal; anything more negative raises.
@@ -30,6 +31,8 @@ def validate_psd(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix has non-finite entries")
     scale = max(np.abs(matrix).max(), 1.0)
     if np.abs(matrix - matrix.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12 relative")
@@ -57,6 +60,8 @@ class GaussianSourceModel:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if c.shape != (sigma.shape[0],):
             raise ValueError(f"c has shape {c.shape}, expected ({sigma.shape[0]},)")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("c has non-finite entries")
         object.__setattr__(self, "sigma_x", _readonly(sigma))
         object.__setattr__(self, "c", _readonly(c))
 

@@ -11,8 +11,6 @@ that holds only silent devices requires 0 bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import GaussianSourceModel, MbtcParams, RateBudget
@@ -48,17 +46,14 @@ def _membership(S, M: int) -> np.ndarray:
 def by_complement_size(members: np.ndarray):
     """Group the rows of an (n, M) membership matrix by complement size.
 
-    Yields (rows, idx, comp) per size in increasing order: the row numbers
-    and the ascending device indices inside, (len(rows), |S|), and outside,
-    (len(rows), |S^c|), each row's subset.
+    Yields (rows, comp) per size in increasing order: the row numbers and the
+    ascending device indices outside each row's subset, (len(rows), |S^c|).
     """
     outside = ~members
     sizes = outside.sum(axis=1)
     for k in np.unique(sizes):
         rows = np.flatnonzero(sizes == k)
-        idx = np.nonzero(members[rows])[1].reshape(rows.size, members.shape[1] - k)
-        comp = np.nonzero(outside[rows])[1].reshape(rows.size, k)
-        yield rows, idx, comp
+        yield rows, np.nonzero(outside[rows])[1].reshape(rows.size, k)
 
 
 def _logdet2(a: np.ndarray):
@@ -82,7 +77,7 @@ def _required_bits(model: GaussianSourceModel, q, members: np.ndarray) -> np.nda
     inside = members[:, live]
     block = model.sigma_x[np.ix_(live, live)] + np.diag(q_live)
     comp_logdet = np.zeros(inside.shape[0])
-    for rows, _, comp in by_complement_size(inside):
+    for rows, comp in by_complement_size(inside):
         if comp.shape[1]:
             comp_logdet[rows] = _logdet2(block[comp[:, :, None], comp[:, None, :]])
     log_q = np.sum(np.where(inside, np.log2(q_live), 0.0), axis=1)
@@ -104,10 +99,11 @@ def sum_mutual_info(model: GaussianSourceModel, q) -> float:
 
 
 def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
-    """Weights w with Y_hat = w^T u; silent devices (q = +inf) get weight zero."""
+    """Weights w = (S + Q)^{-1} S c with Y_hat = w^T u, over the devices that
+    are not silent; silent devices (q = +inf) get weight zero."""
     qv = _qvec(q)
     w = np.zeros(model.M)
-    f = np.flatnonzero(np.isfinite(qv))
+    f = np.flatnonzero(~np.isposinf(qv))
     if f.size:
         sigma = model.sigma_x
         block = sigma[np.ix_(f, f)] + np.diag(qv[f])
@@ -117,7 +113,7 @@ def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
 
 def distortion(model: GaussianSourceModel, q) -> float:
     """Aggregation distortion v(q) = c'Sc - c'S(S+Q)^{-1}Sc, clamped at zero."""
-    f = np.isfinite(_qvec(q))
+    f = ~np.isposinf(_qvec(q))
     a = model.sigma_x @ model.c
     w = mmse_combiner(model, q)
     return max(float(model.c @ model.sigma_x @ model.c) - float(a[f] @ w[f]), 0.0)
@@ -160,22 +156,3 @@ def single_source_rd(sigma2: float, R: float):
     d_star = sigma2 * 2.0 ** (-2.0 * R)
     return q_star, d_star
 
-
-@dataclass(frozen=True)
-class RegionEvaluation:
-    """All region quantities at a single q: rates, distortion, combiner."""
-
-    sum_rate: float
-    conditional_rates: dict
-    distortion: float
-    combiner: np.ndarray
-
-
-def evaluate_region(model: GaussianSourceModel, q) -> RegionEvaluation:
-    bits = _required_bits(model, q, all_subsets(model.M))
-    return RegionEvaluation(
-        sum_rate=float(bits[-1]),
-        conditional_rates={mask: float(b) for mask, b in enumerate(bits[:-1], start=1)},
-        distortion=distortion(model, q),
-        combiner=mmse_combiner(model, q),
-    )

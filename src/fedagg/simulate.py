@@ -25,7 +25,6 @@ from .model import (
     RateBudget,
     SymmetricSourceModel,
     empirical_covariance,
-    validate_psd,
 )
 from .region import _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
@@ -64,7 +63,7 @@ def mbtc_noise_surrogate(x_vectors, model: GaussianSourceModel, q_star, seed: in
     w = mmse_combiner(model, qv)
     u = np.empty_like(x)
     for m in range(x.shape[0]):
-        if np.isfinite(qv[m]):
+        if not np.isposinf(qv[m]):
             rng = np.random.default_rng(seed_stream(seed, "aux-noise", m))
             u[m] = x[m] + np.sqrt(qv[m]) * rng.standard_normal(x.shape[1])
         else:
@@ -112,12 +111,11 @@ def mbtc_aggregate(
     """Full pipeline: rotate, estimate statistics, optimize, add auxiliary
     noise, combine, inverse-transform."""
     c = np.asarray(c, dtype=float)
-    sigma = validate_psd(empirical_covariance(batch.mean_removed))
-    model = GaussianSourceModel(sigma_x=sigma, c=c)
+    model = GaussianSourceModel(sigma_x=empirical_covariance(batch.mean_removed), c=c)
     if optimizer_choice == "general":
         q = mm_general.optimize(model, budget).q
     elif optimizer_choice == "symmetric":
-        sym, group = _fit_symmetric(sigma, budget)
+        sym, group = _fit_symmetric(model.sigma_x, budget)
         res = mm_symmetric.optimize_symmetric(sym, float(np.mean(c)))
         q = MbtcParams(res.q_groups[group])
     else:

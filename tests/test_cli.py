@@ -79,6 +79,37 @@ class TestMisplacedInputs:
         p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
         assert_rejected(tmp_path, ["verify", "--model", p, "--budget", "1,1", "--q", "1,1,1"])
 
+    def test_optimize_rejects_non_finite_model(self, capsys, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text('{"M": 2, "sigma_x": [1.0, NaN, NaN, 1.0], "c": [0.5, 0.5]}')
+        assert_rejected(tmp_path, ["optimize", "--model", str(p), "--budget", "1,1"])
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_optimize_symmetric_rejects_non_finite_lambda(self, capsys, tmp_path, lam):
+        p = write_symmetric_model(tmp_path / "s.json")
+        assert_rejected(tmp_path, ["optimize", "--model", p, "--lam", lam])
+
+
+FL_ARGS = ["fl-train", "--devices", "2", "--dim", "4", "--rounds", "1",
+           "--aggregator", "qsgd:2", "--seed", "1"]
+SWEEP_ARGS = ["sweep-distortion", "--rho", "0.5", "--rates", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (SWEEP_ARGS, "--N", "0"),
+    (SWEEP_ARGS, "--M", "0"),
+    (FL_ARGS, "--dim", "0"),
+    (FL_ARGS, "--devices", "0"),
+    (FL_ARGS, "--samples-per-device", "0"),
+    (FL_ARGS, "--rounds", "0"),
+    (["optimize", "--model", "m.json"], "--max-iter", "-3"),
+])
+def test_non_positive_count_is_usage_error(capsys, tmp_path, argv, flag, value):
+    before = set(tmp_path.iterdir())
+    assert run(argv + [flag, value, "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
 
 class TestOptimize:
     def test_single_source_output(self, capsys, tmp_path):

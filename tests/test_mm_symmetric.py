@@ -164,6 +164,12 @@ class TestOptimizeSymmetric:
         with pytest.raises(ValueError):
             optimize_symmetric(model, lam=0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((2, 1.0),))
+        with pytest.raises(ValueError):
+            optimize_symmetric(model, lam=lam)
+
     def test_grouped_workload_evaluation_count(self, monkeypatch):
         # 3 groups of 20 devices at rho 0.9 (9,260 selection rows): about
         # one constraint evaluation per interior-point iteration.

@@ -102,6 +102,15 @@ class TestValidatePsd:
         with pytest.raises(ValueError):
             validate_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_psd(np.array([[bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_psd(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianSourceModel(sigma_x=np.eye(2), c=np.array([bad, 1.0]))
+
 
 class TestSymmetricSourceModel:
     def test_expand_round_trip(self):

@@ -12,7 +12,6 @@ from fedagg.region import (
     cond_mutual_info,
     constraint_report,
     distortion,
-    evaluate_region,
     is_feasible,
     mmse_combiner,
     single_source_rd,
@@ -167,6 +166,16 @@ class TestMmseCombiner:
         w = mmse_combiner(model, MbtcParams([0.3, np.inf]))
         assert w[1] == 0.0
 
+    def test_nan_q_is_not_silent(self):
+        # Only q = +inf is silent; a NaN q propagates as the rate evaluator's does.
+        model = make_model(0.5, 1.0, 2, c=[0.5, 0.5])
+        q = np.array([np.nan, 1.0])
+        assert np.isnan(mmse_combiner(model, q)[0])
+        assert np.isnan(distortion(model, q))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sum_mutual_info(model, q))
+        assert mmse_combiner(model, np.array([np.inf, 1.0]))[0] == 0.0
+
     def test_distortion_identity(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
@@ -274,13 +283,3 @@ class TestSingleSourceRd:
             assert distortion(model, MbtcParams([q_star])) == pytest.approx(
                 d_star, rel=1e-12
             )
-
-
-class TestRegionEvaluation:
-    def test_invariants(self):
-        model = make_model(0.7, 1.0, 3)
-        ev = evaluate_region(model, MbtcParams([0.2, 0.4, 0.8]))
-        ceiling = float(model.c @ model.sigma_x @ model.c)
-        assert 0 <= ev.distortion <= ceiling + 1e-9
-        for mask, rate in ev.conditional_rates.items():
-            assert rate <= ev.sum_rate + 1e-9
