@@ -132,6 +132,13 @@ class OptimizeResult:
     iterates: tuple = ()  # q vector per iteration, starting at the initializer
 
 
+def check_eps(eps: float) -> None:
+    """Reject an MM stop fraction that is NaN, infinite or negative; both
+    optimizers call this before any work."""
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+
+
 def mm_loop(q0: np.ndarray, objective, step, eps: float, max_iter: int):
     """MM driver of both optimizers: q -> step(q) while the objective (to be
     maximized) rises by more than the fraction eps; returns (q, objective
@@ -163,6 +170,7 @@ def optimize(
 ) -> OptimizeResult:
     """MM loop: surrogate construction + barrier solve until the fractional
     increase of the original objective drops below eps."""
+    check_eps(eps)
     q, trace, iterates, iterations = mm_loop(
         find_feasible_init(model, budget).q,
         lambda q: float(model.sigma_x @ model.c @ mmse_combiner(model, q)),

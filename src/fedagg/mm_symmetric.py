@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import interior_start, minimize_linear
-from .mm_general import HALF_LOG2E, SurrogateProblem, doubling_start, mm_loop
+from .mm_general import HALF_LOG2E, SurrogateProblem, check_eps, doubling_start, mm_loop
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 
 MAX_SELECTIONS = 10**6
@@ -145,6 +145,7 @@ def optimize_symmetric(
     iteration); expands q per device at the end."""
     if lam == 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be nonzero and finite, got {lam}")
+    check_eps(eps)
     sizes = model.group_sizes
     selections = enumerate_selections(sizes)
     budgets = selections @ model.group_rates

@@ -112,7 +112,10 @@ def mbtc_aggregate(
     noise, combine, inverse-transform."""
     c = np.asarray(c, dtype=float)
     model = GaussianSourceModel(sigma_x=empirical_covariance(batch.mean_removed), c=c)
-    if optimizer_choice == "general":
+    if not batch.mean_removed.any():
+        # No device varies: every device stays silent and the means carry c @ updates.
+        q = MbtcParams(np.full(batch.M, np.inf))
+    elif optimizer_choice == "general":
         q = mm_general.optimize(model, budget).q
     elif optimizer_choice == "symmetric":
         sym, group = _fit_symmetric(model.sigma_x, budget)
@@ -159,25 +162,30 @@ def qsgd_quantize(v, s: int, seed: int):
 GAUSSIAN_STEP = (1.596, 0.9957, 0.5860, 0.3352, 0.1881, 0.1041)
 
 
-def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
-    """Rotate segments, quantize uniformly, de-rotate. The step is Gaussian
-    MSE-optimal up to 6 bits and spans [-4 sigma, 4 sigma] from 7 bits on."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    if bits_per_element < 1:
-        raise ValueError(f"bits_per_element must be >= 1, got {bits_per_element}")
-    x = haar_rotate(v, seed)
-    scale = float(np.std(x))
-    charged = bits_per_element + SCALAR_BITS / n
-    if scale == 0.0:
-        return np.zeros_like(v), charged
-    levels = 2**bits_per_element
+def _quantize_rotated(x, bits_per_element: int):
+    """Uniform quantizer body over already rotated rows, with one scale
+    (the row's standard deviation) per row. The step is Gaussian MSE-optimal
+    up to 6 bits and spans [-4 sigma, 4 sigma] from 7 bits on; a row of scale
+    0 quantizes to zeros."""
     b = bits_per_element
-    step = scale * (GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels)
+    if b < 1:
+        raise ValueError(f"bits_per_element must be >= 1, got {b}")
+    scale = np.std(x, axis=-1, keepdims=True)
+    silent = scale == 0.0
+    levels = 2**b
+    step = np.where(silent, 1.0, scale) * (
+        GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels
+    )
     lo = -0.5 * levels * step
     idx = np.clip(np.floor((x - lo) / step), 0, levels - 1)
-    xq = lo + (idx + 0.5) * step
-    return haar_derotate(xq, seed), charged
+    return np.where(silent, 0.0, lo + (idx + 0.5) * step)
+
+
+def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
+    """Rotate segments, quantize uniformly (``_quantize_rotated``), de-rotate."""
+    v = np.asarray(v, dtype=float)
+    xq = _quantize_rotated(haar_rotate(v, seed), bits_per_element)
+    return haar_derotate(xq, seed), bits_per_element + SCALAR_BITS / v.shape[0]
 
 
 def baseline_aggregate(quantized, c):
@@ -220,12 +228,20 @@ def qsgd_aggregator(s: int):
 
 
 def uniform_aggregator(bits_per_element: int):
-    """Each device rotated by the public rotation and quantized uniformly."""
-    return _per_device(
-        lambda v, m, seed: rotated_uniform_quantize(
-            v, bits_per_element, seed_stream(seed, "rotation")
-        )
-    )
+    """Each device rotated by the public rotation and quantized uniformly.
+
+    De-rotation is linear and shared, so the c-weighted sum of the quantized
+    rows is de-rotated once instead of once per device.
+    """
+
+    def aggregate(vectors, c, seed):
+        rotation = seed_stream(seed, "rotation")
+        x = haar_rotate(np.stack(vectors), rotation)
+        x_hat = _quantize_rotated(x, bits_per_element)
+        estimate = haar_derotate(np.asarray(c, dtype=float) @ x_hat, rotation)
+        return estimate, np.full(x.shape[0], bits_per_element + SCALAR_BITS / x.shape[1])
+
+    return aggregate
 
 
 def mbtc_aggregator(budget: RateBudget):

@@ -1,8 +1,9 @@
 """Data pre/post-processing: segmented random rotation, inverse transform, and
 the update-batch container, which also removes the means.
 
-Segments are rotated by a randomized Hartley transform (FFT, no stored matrix);
-the shared randomness is modeled by a 64-bit seed carried with the batch.
+Segments are rotated by a randomized Hartley transform (one real FFT per
+Hartley pass, no stored matrix); the shared randomness is modeled by a 64-bit
+seed carried with the batch.
 """
 
 from __future__ import annotations
@@ -26,8 +27,15 @@ def haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _hartley(x: np.ndarray) -> np.ndarray:
     # Orthonormal DHT along the last axis: symmetric and its own inverse.
-    f = np.fft.fft(x, norm="ortho")
-    return f.real - f.imag
+    # From the real FFT f: H[k] = Re f[k] - Im f[k] for k <= n/2, and the
+    # mirrored bins H[n-k] = Re f[k] + Im f[k] for 1 <= k <= (n-1)/2.
+    n = x.shape[-1]
+    f = np.fft.rfft(x, norm="ortho")
+    out = np.empty(x.shape)
+    np.subtract(f.real, f.imag, out=out[..., : n // 2 + 1])
+    h = (n - 1) // 2
+    np.add(f.real[..., h:0:-1], f.imag[..., h:0:-1], out=out[..., n - h :])
+    return out
 
 
 def _apply_segments(v, seed: int, segment_len: int, inverse: bool):

@@ -358,3 +358,28 @@ def gaussianization_check(rotated, pre_rotation) -> dict:
     m4 = np.mean(centered**4, axis=1)
     kurt = m4 / m2**2 - 3.0
     return {"covariance_error": cov_err, "excess_kurtosis": kurt}
+
+
+def hartley_reference(x) -> np.ndarray:
+    """Orthonormal discrete Hartley transform along the last axis from the
+    complex FFT: H = Re F - Im F."""
+    f = np.fft.fft(np.asarray(x, dtype=float), norm="ortho")
+    return f.real - f.imag
+
+
+def rotation_reference(v, seed: int, segment_len: int, inverse: bool = False) -> np.ndarray:
+    """Segment-by-segment x -> H D2 H D1 x (inverse: D1 H D2 H x) on
+    ``hartley_reference``, with the +-1 diagonals of the library's seed rule."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
+    d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
+    h = hartley_reference
+    out = np.empty_like(v)
+    for lo in range(0, n, segment_len):
+        s = slice(lo, lo + segment_len)
+        if inverse:
+            out[..., s] = d1[s] * h(d2[s] * h(v[..., s]))
+        else:
+            out[..., s] = h(d2[s] * h(d1[s] * v[..., s]))
+    return out

@@ -84,6 +84,12 @@ class TestMisplacedInputs:
         p.write_text('{"M": 2, "sigma_x": [1.0, NaN, NaN, 1.0], "c": [0.5, 0.5]}')
         assert_rejected(tmp_path, ["optimize", "--model", str(p), "--budget", "1,1"])
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_optimize_rejects_invalid_eps(self, capsys, tmp_path, eps):
+        p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
+        assert_rejected(tmp_path, ["optimize", "--model", p, "--budget", "1,1.5",
+                                   f"--eps={eps}"])
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_optimize_symmetric_rejects_non_finite_lambda(self, capsys, tmp_path, lam):
         p = write_symmetric_model(tmp_path / "s.json")
@@ -189,6 +195,12 @@ class TestFlTrain:
             texts.append(result_rows(out))
         assert texts[0] == texts[1]
         assert len(texts[0]) == 1 + 5
+
+    def test_mbtc_with_constant_updates(self, capsys, tmp_path):
+        # With dim 1 every mean-removed update is zero: all devices stay silent.
+        assert run(["fl-train", "--devices", "2", "--dim", "1", "--rounds", "1",
+                    "--aggregator", "mbtc", "--budget", "2", "--seed", "1",
+                    "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_mbtc_requires_budget(self, capsys):
         assert run(["fl-train", "--devices", "2", "--dim", "8", "--rounds", "1",

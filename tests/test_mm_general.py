@@ -230,6 +230,14 @@ class TestOptimize:
             distortion(model, res.q), abs=1e-12
         )
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+    def test_rejects_invalid_eps(self, eps):
+        model = GaussianSourceModel(
+            sigma_x=symmetric_covariance(0.5, 1.0, 2), c=np.array([0.5, 0.5])
+        )
+        with pytest.raises(ValueError, match="eps"):
+            optimize(model, RateBudget(np.array([1.0, 1.5])), eps=eps)
+
 
 class TestMmLoop:
     def test_regression_keeps_previous_q(self):

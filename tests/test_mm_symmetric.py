@@ -159,6 +159,14 @@ class TestOptimizeSymmetric:
         ok, worst = is_feasible(gmodel, res.q, budget)
         assert ok, worst
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("groups", [((2, 1.0),), ((2, 1.0), (1, 2.0))])
+    def test_rejects_invalid_eps(self, eps, groups):
+        # One group skips the MM loop, so the check cannot live only there.
+        model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=groups)
+        with pytest.raises(ValueError, match="eps"):
+            optimize_symmetric(model, lam=0.5, eps=eps)
+
     def test_rejects_zero_lambda(self):
         model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((2, 1.0),))
         with pytest.raises(ValueError):

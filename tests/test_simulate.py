@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedagg import mm_general, mm_symmetric
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -14,7 +15,9 @@ from fedagg.model import (
 from fedagg.region import cond_mutual_info, distortion, sum_mutual_info
 from fedagg.seeds import seed_stream
 from fedagg.simulate import (
+    GAUSSIAN_STEP,
     _fit_symmetric,
+    _quantize_rotated,
     baseline_aggregate,
     mbtc_aggregator,
     mbtc_aggregate,
@@ -167,18 +170,60 @@ class TestBaselineAggregate:
             baseline_aggregate([np.ones(3)], [0.5, 0.5])
 
 
+def uniform_rows(vectors, bits, rotation):
+    """Each device rotated alone and quantized by the documented step rule:
+    scale = std of the rotated row, Gaussian MSE-optimal step, 2^bits cells
+    centred on 0, and a row of scale 0 quantized to zeros."""
+    rows = []
+    for v in vectors:
+        x = haar_rotate(v, rotation)
+        scale = float(np.std(x))
+        if scale == 0.0:
+            rows.append(np.zeros_like(x))
+            continue
+        levels = 2**bits
+        step = scale * GAUSSIAN_STEP[bits - 1]
+        lo = -0.5 * levels * step
+        idx = np.clip(np.floor((x - lo) / step), 0, levels - 1)
+        rows.append(lo + (idx + 0.5) * step)
+    return np.vstack(rows)
+
+
 class TestAggregatorSeedRule:
     def test_public_rotation_and_per_device_dither(self):
         rng = np.random.default_rng(14)
         vectors = list(rng.standard_normal((3, 300)))
         c = np.array([0.2, 0.3, 0.5])
         rotation = seed_stream(21, "rotation")
+        # The uniform aggregator de-rotates c @ (quantized rows) once; that
+        # is the per-device sum up to rounding, since de-rotation is linear.
         uniform = [rotated_uniform_quantize(v, 2, rotation) for v in vectors]
+        estimate, charges = uniform_aggregator(2)(vectors, c, 21)
+        rows = uniform_rows(vectors, 2, rotation)
+        assert np.array_equal(estimate, haar_derotate(c @ rows, rotation))
+        per_device = baseline_aggregate([e[0] for e in uniform], c)
+        assert np.abs(estimate - per_device).max() <= 1e-12 * max(1.0, np.abs(estimate).max())
+        assert np.array_equal(charges, [e[1] for e in uniform])
         qsgd = [qsgd_quantize(v, 3, seed_stream(21, "dev", m)) for m, v in enumerate(vectors)]
-        for agg, expected in ((uniform_aggregator(2), uniform), (qsgd_aggregator(3), qsgd)):
-            estimate, charges = agg(vectors, c, 21)
-            assert np.array_equal(estimate, baseline_aggregate([e[0] for e in expected], c))
-            assert np.array_equal(charges, [e[1] for e in expected])
+        estimate, charges = qsgd_aggregator(3)(vectors, c, 21)
+        assert np.array_equal(estimate, baseline_aggregate([e[0] for e in qsgd], c))
+        assert np.array_equal(charges, [e[1] for e in qsgd])
+
+    def test_uniform_zero_row_quantizes_to_zeros(self):
+        rng = np.random.default_rng(15)
+        vectors = rng.standard_normal((3, 300))
+        vectors[1] = 0.0
+        c = np.array([0.2, 0.3, 0.5])
+        rotation = seed_stream(22, "rotation")
+        quantized = _quantize_rotated(haar_rotate(vectors, rotation), 2)
+        assert not quantized[1].any() and quantized[[0, 2]].all()
+        alone, charge = rotated_uniform_quantize(vectors[1], 2, rotation)
+        assert not alone.any()
+        estimate, charges = uniform_aggregator(2)(list(vectors), c, 22)
+        rows = uniform_rows(vectors, 2, rotation)
+        assert np.array_equal(estimate, haar_derotate(c @ rows, rotation))
+        assert np.array_equal(charges, np.full(3, charge))
+        assert charge == rotated_uniform_quantize(vectors[0], 2, rotation)[1]
 
 
 class TestMbtcAggregate:
@@ -223,6 +268,24 @@ class TestMbtcAggregate:
         q = mbtc_aggregate(batch, np.full(5, 0.2), budget, optimizer_choice="symmetric").q.q
         assert q[0] == q[2] and q[1] == q[4]
         assert q[3] < q[0] < q[1]
+
+    @pytest.mark.parametrize("choice", ["general", "symmetric"])
+    def test_constant_updates_keep_every_device_silent(self, choice, monkeypatch):
+        # Zero empirical covariance: no optimizer runs, the means carry c @ updates.
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("no optimizer may run on a zero covariance")
+
+        monkeypatch.setattr(mm_general, "optimize", no_optimizer)
+        monkeypatch.setattr(mm_symmetric, "optimize_symmetric", no_optimizer)
+        updates = np.array([[1.5] * 8, [-0.25] * 8, [3.0] * 8])
+        c = np.array([0.2, 0.3, 0.5])
+        batch = DeviceUpdateBatch(updates=updates, rotation_seed=3, segment_len=4)
+        res = mbtc_aggregate(batch, c, RateBudget(np.full(3, 2.0)), optimizer_choice=choice)
+        assert np.all(np.isposinf(res.q.q))
+        assert np.array_equal(res.rate_report, np.zeros(3))
+        assert res.predicted_distortion == 0.0
+        assert np.abs(res.estimate - c @ updates).max() < 1e-15
+        assert res.empirical_distortion < 1e-30
 
     def test_rejects_unknown_optimizer(self):
         y = np.stack(synthetic_sources(0.5, 2, 64, seed=0))

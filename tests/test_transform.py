@@ -16,7 +16,13 @@ from fedagg.transform import (
     haar_rotate,
     inverse_transform,
 )
-from oracles import Assumption1Spec, assumption1_sources, gaussianization_check
+from oracles import (
+    Assumption1Spec,
+    assumption1_sources,
+    gaussianization_check,
+    hartley_reference,
+    rotation_reference,
+)
 
 
 class TestHaarMatrix:
@@ -99,6 +105,33 @@ class TestRotationProperties:
         # is a sign flip per coordinate, which repeats with odds 2^-n).
         if n >= 64:
             assert not np.allclose(haar_rotate(v, seed + 1, segment_len), x)
+
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(1, 3000),
+        segment_len=st.integers(1, 2048),
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_complex_fft_reference(self, n, segment_len, rows, seed, data_seed):
+        # The real-FFT Hartley transform against the complex-FFT map.
+        v = np.random.default_rng(data_seed).standard_normal((rows, n))
+        tol = 1e-12 * np.linalg.norm(v, axis=1).max()
+        x = haar_rotate(v, seed, segment_len)
+        assert np.abs(x - rotation_reference(v, seed, segment_len)).max() <= tol
+        back = haar_derotate(v, seed, segment_len)
+        assert np.abs(back - rotation_reference(v, seed, segment_len, inverse=True)).max() <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 1024])
+    def test_hartley_matches_complex_fft_at_edge_lengths(self, n):
+        v = np.random.default_rng(n).standard_normal((2, n))
+        tol = 1e-12 * np.linalg.norm(v, axis=1).max()
+        assert np.abs(transform._hartley(v) - hartley_reference(v)).max() <= tol
+        for seg in (n, 7, 1024):
+            assert np.abs(haar_rotate(v, 31, seg) - rotation_reference(v, 31, seg)).max() <= tol
+            back = rotation_reference(v, 31, seg, inverse=True)
+            assert np.abs(haar_derotate(v, 31, seg) - back).max() <= tol
 
     @settings(max_examples=40)
     @given(
