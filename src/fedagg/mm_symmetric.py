@@ -8,10 +8,17 @@ u = rho sigma2 / (a + q), theta(q, s) = 1/2 (s . log2(1 + a/q)
 + log2(1 + M . u) - log2(1 + (M - s) . u)) is the general subset rate on the
 group subspace q_m = q_{j(m)}.
 
-One group (J = 1) is solved exactly, with neither MM nor the barrier: each
-row falls strictly in q (u falls in q, and the ratio rises in u), so the
+One group (J = 1, rate r) is solved exactly, with neither MM nor the barrier:
+each row falls strictly in q (u falls in q, and the ratio rises in u), so the
 feasible set is a half-line [q*, inf); M / (q + a) falls in q, so q* is the
-optimum, and a geometric bisection on the exact rows finds it to the last bit.
+optimum. With d = 2^(2r) - 1, q* lies in [a/d, sigma2/d]. The ratio
+(1 + M . u) / (1 + (M - s) . u) is at least 1, so theta(q, s) >=
+1/2 s log2(1 + a/q); it is at most 1 + s u <= (1 + u)^s, and
+(1 + a/q)(1 + u) = 1 + sigma2/q, so theta(q, s) <= 1/2 s log2(1 + sigma2/q).
+The ends differ by the factor 1 / (1 - rho) and meet at rho = 0, where
+q* = sigma2/d. Inside the bracket, the Illinois method (regula falsi in log q
+that halves the value kept at an end twice in a row; Dowell and Jarratt, BIT
+11, 1971) on the exact rows finds q* to the last bit.
 
 J >= 2 runs MM on the tangent surrogate of ``mm_general`` on the group
 subspace. There theta(q, s) + 1/2 s . log2 q is the concave part of the
@@ -30,10 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import interior_start, minimize_linear
+from .errors import SolverError
 from .mm_general import HALF_LOG2E, SurrogateProblem, check_eps, doubling_start, mm_loop
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 
 MAX_SELECTIONS = 10**6
+NUDGES = 8  # one-group tries 1, 2, 4, ... ulps above the closed-form end
 
 
 def enumerate_selections(group_sizes) -> np.ndarray:
@@ -50,14 +59,16 @@ def enumerate_selections(group_sizes) -> np.ndarray:
 
 def theta(rho, sigma2, group_sizes, q_groups, selection):
     """Exact per-selection rate requirement in bits/symbol: a float for one
-    selection (J,), an (n,) array for a stack of selections (n, J)."""
+    selection (J,), an (n,) array for a stack of selections (n, J). Each
+    log2(1 + x) is taken as log1p(x) / ln 2, so rates far below a bit keep
+    their digits."""
     sizes = np.asarray(group_sizes, dtype=float)
     q = np.atleast_1d(np.asarray(q_groups, dtype=float))
     s = np.asarray(selection, dtype=float)
     a = (1.0 - rho) * sigma2
     u = rho * sigma2 / (a + q)
-    bits = 0.5 * (
-        s @ np.log2(1.0 + a / q) + np.log2(1.0 + sizes @ u) - np.log2(1.0 + (sizes - s) @ u)
+    bits = HALF_LOG2E * (
+        s @ np.log1p(a / q) + np.log1p(sizes @ u) - np.log1p((sizes - s) @ u)
     )
     return float(bits) if s.ndim == 1 else bits
 
@@ -101,24 +112,60 @@ def _build_surrogate(model: SymmetricSourceModel, selections, q_hat) -> Surrogat
     )
 
 
-def _bisect_one_group(feasible, q0: np.ndarray) -> np.ndarray:
-    """Smallest q, clamped at Q_MIN, that meets the exact one-group rows
-    (feasible(q)); q0 is feasible. Each row falls strictly in q, so
-    feasibility is monotone: halve down to an infeasible point, then bisect
-    geometrically until the bracket stops shrinking, and return its feasible
-    end."""
-    hi = float(q0[0])
-    lo = 0.5 * hi
-    while feasible(lo):
-        if lo <= Q_MIN:
-            return np.array([Q_MIN])
-        hi, lo = lo, 0.5 * lo
-    while lo < (mid := np.sqrt(lo * hi)) < hi:
-        if feasible(mid):
-            hi = mid
+def _solve_one_group(model: SymmetricSourceModel, worst):
+    """Feasible start q0 and the smallest q, clamped at Q_MIN, with
+    worst(q) <= 0.
+
+    worst(q) is the largest exact row scaled by M / s: the same sign as the
+    largest row, but every scaled row then has a like slope in log q, so
+    regula falsi does not stall where the binding row changes. Illinois steps
+    in log q inside the closed-form bracket [a/d, sigma2/d] of the module
+    docstring, with a geometric-midpoint fallback; returns the feasible end
+    once the bracket stops shrinking.
+    """
+    (_, rate), = model.groups
+    with np.errstate(over="ignore"):
+        d = np.expm1(2.0 * np.log(2.0) * rate)  # 2^(2r) - 1, inf past the float range
+        lo, hi = (1.0 - model.rho) * model.sigma2 / d, model.sigma2 / d
+    if not np.isfinite(hi):
+        raise SolverError(f"one-group optimum exceeds the float range at rate {rate}")
+    if hi <= Q_MIN:
+        return Q_MIN, Q_MIN
+    f_lo, f_hi = None, worst(hi)
+    for k in range(NUDGES):  # rounding can leave the closed-form end just infeasible
+        if f_hi <= 0.0:
+            break
+        lo, f_lo, hi = hi, f_hi, hi + np.spacing(hi) * 2.0**k
+        f_hi = worst(hi)
+    if f_hi > 0.0:
+        lo, f_lo = hi, f_hi
+        hi = doubling_start(2.0 * hi, 1, lambda q: worst(q) <= 0.0)[0]
+        f_hi = worst(hi)
+    q0 = hi
+    if f_lo is None:  # the closed-form lower end, unless hi binds or the ends meet (rho = 0)
+        if f_hi == 0.0 or not lo < hi:
+            return q0, hi
+        lo = max(lo, Q_MIN)
+        f_lo = worst(lo)
+        if f_lo <= 0.0:
+            return q0, lo
+    side = 0  # the end the last step moved: +1 the feasible one, -1 the other
+    while f_hi != 0.0:
+        q = hi * np.exp(np.log(lo / hi) * (f_hi / (f_hi - f_lo)))
+        if not lo < q < hi:
+            q = lo * np.sqrt(hi / lo)
+            if not lo < q < hi:
+                break
+        f = worst(q)
+        if f <= 0.0:
+            if side == 1:
+                f_lo *= 0.5
+            hi, f_hi, side = q, f, 1
         else:
-            lo = mid
-    return np.array([max(hi, Q_MIN)])
+            if side == -1:
+                f_hi *= 0.5
+            lo, f_lo, side = q, f, -1
+    return q0, hi
 
 
 @dataclass(frozen=True)
@@ -141,8 +188,11 @@ def optimize_symmetric(
     eps: float = 1e-6,
     max_iter: int = 200,
 ) -> SymmetricOptimizeResult:
-    """MM loop on the grouped recast problem (one group: exact bisection, one
-    iteration); expands q per device at the end."""
+    """MM loop on the grouped recast problem; expands q per device at the end.
+
+    One group runs no MM: its optimum comes from the closed-form bracket
+    (module docstring), reported as one iteration from the bracket's feasible
+    upper end."""
     if lam == 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be nonzero and finite, got {lam}")
     check_eps(eps)
@@ -150,8 +200,8 @@ def optimize_symmetric(
     selections = enumerate_selections(sizes)
     budgets = selections @ model.group_rates
 
-    def feasible(q):  # every exact row theta(q, s) - s . r is <= 0
-        return (theta(model.rho, model.sigma2, sizes, q, selections) - budgets).max() <= 0.0
+    def rows(q):  # exact theta(q, s) - s . r of every selection
+        return theta(model.rho, model.sigma2, sizes, q, selections) - budgets
 
     def objective(q):
         return symmetric_objective(model.rho, model.sigma2, sizes, q)
@@ -161,11 +211,13 @@ def optimize_symmetric(
         q0 = interior_start(problem.value, q, Q_MIN)
         return minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN)
 
-    q0 = doubling_start(model.sigma2, len(sizes), feasible)
     if len(sizes) == 1:
-        q = _bisect_one_group(feasible, q0)
+        per_device = sizes[0] / selections[:, 0]  # M / s
+        solved = _solve_one_group(model, lambda q: (rows(q) * per_device).max())
+        q0, q = np.reshape(solved, (2, 1))
         obj_trace, iterates, iterations = (objective(q0), objective(q)), (q0, q), 1
     else:
+        q0 = doubling_start(model.sigma2, len(sizes), lambda q: rows(q).max() <= 0.0)
         q, obj_trace, iterates, iterations = mm_loop(q0, objective, step, eps, max_iter)
     d_trace = [symmetric_distortion(model, lam, x) for x in iterates]
     d_trace += d_trace[-1:] * (len(obj_trace) - len(d_trace))  # after a regression

@@ -3,17 +3,19 @@
 These deliberately avoid the library's closed-form code paths: the grid
 search re-derives determinants from principal-minor expansions, and the
 Monte-Carlo oracles estimate information/distortion quantities from samples.
-The reference formulas and source generators at the end serve only the tests.
+The reference formulas, source generators and the one-group bisection at the
+end serve only the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 import numpy as np
 
-from fedagg.model import empirical_covariance
+from fedagg.model import Q_MIN, empirical_covariance
 from fedagg.seeds import seed_stream
 
 LOG2E = 1.0 / np.log(2.0)
@@ -383,3 +385,35 @@ def rotation_reference(v, seed: int, segment_len: int, inverse: bool = False) ->
         else:
             out[..., s] = h(d2[s] * h(d1[s] * v[..., s]))
     return out
+
+
+def theta_decimal(rho, sigma2, M: int, q, s: int, digits: int = 50) -> float:
+    """One-group theta(q, s) in bits from ``digits``-digit decimal arithmetic
+    on the exact values of the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rho, sigma2, q = Decimal(rho), Decimal(sigma2), Decimal(q)
+        a = (1 - rho) * sigma2
+        u = rho * sigma2 / (a + q)
+        nats = s * (1 + a / q).ln() + (1 + M * u).ln() - (1 + (M - s) * u).ln()
+        return float(nats / (2 * Decimal(2).ln()))
+
+
+def bisect_one_group(feasible, q0: np.ndarray) -> np.ndarray:
+    """Smallest q, clamped at Q_MIN, that meets the exact one-group rows
+    (feasible(q)); q0 is feasible. Each row falls strictly in q, so
+    feasibility is monotone: halve down to an infeasible point, then bisect
+    geometrically until the bracket stops shrinking, and return its feasible
+    end."""
+    hi = float(q0[0])
+    lo = 0.5 * hi
+    while feasible(lo):
+        if lo <= Q_MIN:
+            return np.array([Q_MIN])
+        hi, lo = lo, 0.5 * lo
+    while lo < (mid := np.sqrt(lo * hi)) < hi:
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return np.array([max(hi, Q_MIN)])

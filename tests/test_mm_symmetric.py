@@ -1,14 +1,16 @@
 """Tests for the grouped symmetric-rate optimizer."""
 
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fedagg import mm_symmetric
 from fedagg.flharness import mbtc_aggregator, random_task, run_training
-from fedagg.mm_general import optimize
+from fedagg.errors import SolverError
+from fedagg.mm_general import doubling_start, optimize
 from fedagg.mm_symmetric import (
     _build_surrogate,
     enumerate_selections,
@@ -17,8 +19,9 @@ from fedagg.mm_symmetric import (
     symmetric_objective,
     theta,
 )
-from fedagg.model import MbtcParams, RateBudget, SymmetricSourceModel
+from fedagg.model import Q_MIN, MbtcParams, RateBudget, SymmetricSourceModel
 from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
+from oracles import bisect_one_group, theta_decimal
 from test_barrier import count_barrier_evaluations
 
 
@@ -74,6 +77,14 @@ class TestThetaReduction:
                 assert val == pytest.approx(exact, abs=1e-10)
             full = theta(rho, sigma2, [2, 3], qg, (2, 3))
             assert full == pytest.approx(sum_mutual_info(gmodel, q), abs=1e-10)
+
+    @pytest.mark.parametrize("q", [1e3, 7213475203.569817, 1e12, 1e40])
+    def test_keeps_its_digits_at_small_rates(self, q):
+        # Each term is about 1/q bits: rounding 1 + x before the logarithm
+        # would keep only the digits of x above 2^-53.
+        for s in (1, 2, 4):
+            exact = theta_decimal(0.5, 1.0, 4, q, s)
+            assert theta(0.5, 1.0, [4], [q], [s]) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def exact_rows(model: SymmetricSourceModel, q, selections) -> np.ndarray:
@@ -242,6 +253,14 @@ one_group = dict(
 )
 
 
+wide_one_group = dict(
+    rho=st.floats(0.0, 0.999),
+    sigma2=st.floats(1e-3, 1e3),
+    M=st.integers(1, 60),
+    r=st.floats(0.05, 12.0),
+)
+
+
 def one_group_rows(model: SymmetricSourceModel, q: float) -> np.ndarray:
     """Exact theta(q, s) - s r for s = 1..M, from the reference formula."""
     (M, r), = model.groups
@@ -300,3 +319,90 @@ class TestOneGroupExact:
         task = random_task(4, 16, samples_per_device=16, seed=5)
         trace = run_training(task, mbtc_aggregator(RateBudget(np.full(4, 2.0))), T=5, seed=6)
         assert np.all(np.isfinite(trace.loss_gap))
+
+    @settings(max_examples=200)
+    @given(**wide_one_group)
+    def test_matches_reference_bisection(self, rho, sigma2, M, r):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        sel = enumerate_selections([M])
+
+        def feasible(q):
+            return exact_rows(model, q, sel).max() <= 0.0
+
+        q = optimize_symmetric(model, lam=1.0 / M).q_groups
+        assert exact_rows(model, q, sel).max() <= 0.0
+        reference = bisect_one_group(feasible, doubling_start(sigma2, 1, feasible))
+        assert q[0] == pytest.approx(reference[0], rel=1e-12, abs=0.0)
+
+    @given(**wide_one_group)
+    def test_closed_form_bracket(self, rho, sigma2, M, r):
+        # With d = 2^(2r) - 1, every row holds at sigma2 / d and none has
+        # slack at (1 - rho) sigma2 / d, up to rounding.
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        sel = enumerate_selections([M])
+        d = 2.0 ** (2.0 * r) - 1.0
+        tol = 16.0 * np.finfo(float).eps * r * sel[:, 0]
+        assert np.all(exact_rows(model, [sigma2 / d], sel) <= tol)
+        assert np.all(exact_rows(model, [(1.0 - rho) * sigma2 / d], sel) >= -tol)
+
+    @pytest.mark.parametrize(
+        "rho, sigma2, M, r, calls",
+        [
+            # Independent sources: the bracket is one point.
+            (0.0, 1.0, 8, 3.0, 2),
+            (0.0, 0.0137, 8, 3.0, 2),
+            (0.0, 420.0, 8, 3.0, 2),
+            (0.0, 2.5, 30, 1.0, 2),
+            # The sweep's model (mbtc at 2 bits, rho 0.9, 10 devices).
+            (0.9, 1.0, 10, 2.0, 25),
+        ],
+    )
+    def test_theta_call_budget(self, monkeypatch, rho, sigma2, M, r, calls):
+        theta_calls = []
+
+        def counted(*args):
+            theta_calls.append(args)
+            return theta(*args)
+
+        monkeypatch.setattr(mm_symmetric, "theta", counted)
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        optimize_symmetric(model, lam=1.0 / M)
+        assert 1 <= len(theta_calls) <= calls
+
+    def test_infeasible_closed_form_end_falls_back_to_doubling(self, monkeypatch):
+        # One extra millibit on every row puts the closed-form end far outside
+        # what the one-ulp nudges reach; the doubling start still brackets q*.
+        monkeypatch.setattr(mm_symmetric, "theta", lambda *args: theta(*args) + 1e-3)
+        model = SymmetricSourceModel(rho=0.0, sigma2=1.0, groups=((6, 2.0),))
+        sel = enumerate_selections([6])
+
+        def feasible(q):
+            return (mm_symmetric.theta(0.0, 1.0, [6], q, sel) - 2.0 * sel[:, 0]).max() <= 0.0
+
+        res = optimize_symmetric(model, lam=1.0 / 6)
+        assert res.q_groups[0] > 1.0 / 15.0
+        assert feasible(res.q_groups) and feasible(res.iterates[0])
+        reference = bisect_one_group(feasible, doubling_start(1.0, 1, feasible))
+        assert res.q_groups[0] == pytest.approx(reference[0], rel=1e-12, abs=0.0)
+
+    def test_extreme_rates_are_defined_without_warnings(self):
+        def solve(rate):
+            model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((4, rate),))
+            return model, optimize_symmetric(model, lam=0.25).q_groups
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 2^(2r) overflows: the optimum sits below the floor.
+            assert solve(600.0)[1][0] == Q_MIN
+            # The root of the 50-digit rows (oracles.theta_decimal) is
+            # 7213475203.56981703...; rounding 1 + x in theta gave 7213480713.5.
+            q = solve(1e-10)[1][0]
+            assert q == pytest.approx(7213475203.569817, rel=1e-15)
+            # d = 2^(2r) - 1 is about 2 r ln 2 here; q* lies in [a/d, sigma2/d].
+            model, q = solve(1e-300)
+            d = np.expm1(2e-300 * np.log(2.0))
+            assert np.isfinite(q[0]) and 0.5 / d <= q[0] <= 1.0 / d * (1.0 + 1e-12)
+            assert exact_rows(model, q, enumerate_selections([4])).max() <= 0.0
+            # sigma2 / d overflows: no finite q meets the rows.
+            with pytest.raises(SolverError, match="float range"):
+                solve(1e-320)
