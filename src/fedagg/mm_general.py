@@ -17,11 +17,21 @@ the weight 0.5 log2(e) ([K^-1]_mm - [(K_{S^c S^c})^-1]_mm) on q_m, the second
 term for m in S^c only, and the constant that makes it equal the exact rate
 at q_hat. The rates come from ``region._required_bits`` and the weights from
 one batched inverse per complement size.
+
+At an MM optimum only about M of the rows bind, so ``solve_surrogate`` hands
+the barrier a working set of rows, which one MM run keeps and grows, and
+checks every row at the point the barrier returns, adding the violated ones
+and solving again until none is. That point is optimal for a relaxation of
+the surrogate (fewer rows) and feasible for all of it, so it is the full
+surrogate's optimum; the restricted multipliers, padded with zeros for the
+rows left out, keep the barrier's gap certificate valid for the full
+surrogate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +50,8 @@ from .region import (
 )
 
 HALF_LOG2E = 0.5 * LOG2E
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,16 @@ class SurrogateProblem:
 
     def hess_weighted(self, q, w):
         return np.diag(HALF_LOG2E * (w @ self.log_weights) / q**2)
+
+    def restrict(self, rows) -> SurrogateProblem:
+        """The same surrogate on the rows that the boolean mask rows selects."""
+        return replace(
+            self,
+            linear_weights=self.linear_weights[rows],
+            log_weights=self.log_weights[rows],
+            constants=self.constants[rows],
+            budgets=self.budgets[rows],
+        )
 
 
 def build_surrogate(
@@ -98,10 +120,44 @@ def build_surrogate(
     )
 
 
-def solve_surrogate(problem: SurrogateProblem) -> MbtcParams:
-    """Solve the convex surrogate with the primal-dual interior-point method."""
+def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
+    """Solve the convex surrogate on a working set of its rows; every row holds
+    at the returned point.
+
+    work is a boolean row mask that the caller keeps for a whole MM run; an
+    empty one is seeded with the 2 * dim rows of least slack at the interior
+    start. Each restricted solve starts from that strictly interior point of
+    all rows. While the result breaks rows outside work, up to 2 * dim of the
+    most violated join work and the solve repeats. A restricted problem can
+    be degenerate where the full one is not (a row in work that touches the
+    optimum with a zero multiplier), so a restricted solve the barrier cannot
+    certify puts every row in work.
+    """
     q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
-    return MbtcParams(minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN))
+    batch = 2 * q0.shape[0]
+    if not work.any():
+        work[np.argsort(problem.value(q0))[-batch:]] = True
+    solves = added = 0
+    while True:
+        solves += 1
+        try:
+            q = minimize_linear(problem.objective_weights, problem.restrict(work), q0, x_min=Q_MIN)
+        except SolverError:
+            if work.all():
+                raise
+            added += int((~work).sum())
+            work[:] = True
+            continue
+        g = problem.value(q)
+        violated = np.flatnonzero((g > 0) & ~work)
+        if not violated.size:
+            break
+        work[violated[np.argsort(g[violated])[-batch:]]] = True
+        added += min(violated.size, batch)
+    logger.debug(
+        "working set: %d of %d rows, %d restricted solves, %d rows added",
+        int(work.sum()), work.size, solves, added)
+    return MbtcParams(q)
 
 
 def doubling_start(alpha: float, dim: int, feasible) -> np.ndarray:
@@ -171,10 +227,12 @@ def optimize(
     """MM loop: surrogate construction + barrier solve until the fractional
     increase of the original objective drops below eps."""
     check_eps(eps)
+    q0 = find_feasible_init(model, budget).q
+    work = np.zeros((1 << model.M) - 1, dtype=bool)  # one flag per all_subsets row
     q, trace, iterates, iterations = mm_loop(
-        find_feasible_init(model, budget).q,
+        q0,
         lambda q: float(model.sigma_x @ model.c @ mmse_combiner(model, q)),
-        lambda q: solve_surrogate(build_surrogate(model, budget, q)).q,
+        lambda q: solve_surrogate(build_surrogate(model, budget, q), work).q,
         eps,
         max_iter,
     )

@@ -27,7 +27,11 @@ its tangent at q_hat gives a convex row W . q - 1/2 s . log2 q + k_s that lies
 above theta and equals it at q_hat. This replaces the paper's theta_up, which
 linearized only the log2(1 + (M - s) . u) term. MM stays monotone: q_hat is
 feasible for the surrogate, its optimum is feasible for the exact rows, and the
-linearized objective lies below the convex recast objective.
+linearized objective lies below the convex recast objective. Each surrogate is
+solved by ``mm_general.solve_surrogate`` on a working set of selection rows
+(24 of the 9,260 on 3 groups of 20 devices at rho 0.9) that grows until the
+returned point meets every row; a point optimal on a subset of the rows and
+feasible for all of them is the optimum of the full surrogate.
 """
 
 from __future__ import annotations
@@ -36,9 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import interior_start, minimize_linear
 from .errors import SolverError
-from .mm_general import HALF_LOG2E, SurrogateProblem, check_eps, doubling_start, mm_loop
+from .mm_general import (
+    HALF_LOG2E,
+    SurrogateProblem,
+    check_eps,
+    doubling_start,
+    mm_loop,
+    solve_surrogate,
+)
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 
 MAX_SELECTIONS = 10**6
@@ -87,7 +97,9 @@ def symmetric_distortion(model: SymmetricSourceModel, lam: float, q_groups) -> f
     t = symmetric_objective(rho, sigma2, model.group_sizes, q_groups)
     signal = lam**2 * M * sigma2 * (1.0 + (M - 1) * rho)
     gain = ((M - 1) * rho + 1.0) * lam * sigma2
-    return max(signal - gain**2 / (1.0 / t + rho * sigma2), 0.0)
+    # gain * (gain / denominator): gain**2 can leave the float range where
+    # signal and the product do not (sigma2 = 1e300).
+    return max(signal - gain * (gain / (1.0 / t + rho * sigma2)), 0.0)
 
 
 def _build_surrogate(model: SymmetricSourceModel, selections, q_hat) -> SurrogateProblem:
@@ -206,10 +218,10 @@ def optimize_symmetric(
     def objective(q):
         return symmetric_objective(model.rho, model.sigma2, sizes, q)
 
+    work = np.zeros(selections.shape[0], dtype=bool)
+
     def step(q):
-        problem = _build_surrogate(model, selections, q)
-        q0 = interior_start(problem.value, q, Q_MIN)
-        return minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN)
+        return solve_surrogate(_build_surrogate(model, selections, q), work).q
 
     if len(sizes) == 1:
         per_device = sizes[0] / selections[:, 0]  # M / s

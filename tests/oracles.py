@@ -3,8 +3,8 @@
 These deliberately avoid the library's closed-form code paths: the grid
 search re-derives determinants from principal-minor expansions, and the
 Monte-Carlo oracles estimate information/distortion quantities from samples.
-The reference formulas, source generators and the one-group bisection at the
-end serve only the tests.
+The reference formulas, source generators, the one-group bisection and the
+full-row surrogate solve at the end serve only the tests.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from fedagg.barrier import interior_start, minimize_linear
 from fedagg.model import Q_MIN, empirical_covariance
 from fedagg.seeds import seed_stream
 
@@ -417,3 +418,11 @@ def bisect_one_group(feasible, q0: np.ndarray) -> np.ndarray:
         else:
             lo = mid
     return np.array([max(hi, Q_MIN)])
+
+
+def full_row_solve(problem) -> np.ndarray:
+    """An MM surrogate solved over all of its rows in one interior-point solve,
+    from the strictly interior start near its expansion point: the reference
+    for a working-set solve."""
+    q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
+    return minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN)

@@ -36,16 +36,20 @@ class HalfspaceConstraints:
 
 
 class CountingConstraints:
-    """Wraps a constraint set and counts the solver's calls into it."""
+    """Wraps a constraint set and counts the solver's calls into it and the
+    rows its value calls return."""
 
     def __init__(self, inner):
         self.inner = inner
         self.values = 0
+        self.rows = 0
         self.grads = 0
 
     def value(self, x):
+        g = self.inner.value(x)
         self.values += 1
-        return self.inner.value(x)
+        self.rows += g.shape[0]
+        return g
 
     def grad(self, x):
         self.grads += 1

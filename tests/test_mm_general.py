@@ -5,18 +5,26 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedagg import mm_general
 from fedagg.mm_general import (
     OptimizeResult,
     build_surrogate,
+    doubling_start,
     find_feasible_init,
     mm_loop,
     optimize,
     solve_surrogate,
 )
-from fedagg.model import GaussianSourceModel, MbtcParams, RateBudget, symmetric_covariance
+from fedagg.mm_symmetric import _build_surrogate, enumerate_selections, theta
+from fedagg.model import (
+    GaussianSourceModel,
+    MbtcParams,
+    RateBudget,
+    SymmetricSourceModel,
+    symmetric_covariance,
+)
 from fedagg.region import (
     _required_bits,
     all_subsets,
@@ -25,7 +33,7 @@ from fedagg.region import (
     is_feasible,
     sum_mutual_info,
 )
-from oracles import chi_xi, grid_search, quad_form_lower_bound
+from oracles import chi_xi, full_row_solve, grid_search, quad_form_lower_bound
 from test_barrier import count_barrier_evaluations
 
 
@@ -147,7 +155,7 @@ class TestSurrogate:
             budget = RateBudget(rng.uniform(0.5, 2.0, size=3))
             q_hat = find_feasible_init(model, budget)
             prob = build_surrogate(model, budget, q_hat)
-            q = solve_surrogate(prob)
+            q = solve_surrogate(prob, np.zeros(prob.budgets.shape[0], dtype=bool))
             ok, worst = is_feasible(model, q, budget)
             assert ok, worst
 
@@ -162,12 +170,17 @@ def drawn_m10_instance(k):
 
 
 class TestCertifiedSolves:
-    def test_binds_on_drawn_instances(self):
+    def test_binds_on_drawn_instances(self, monkeypatch):
         # Solves that stop short of optimal send MM runs through the
-        # numerical regression branch and leave slack on every subset.
+        # numerical regression branch and leave slack on every subset. On
+        # working sets the barrier evaluates at most 30,000 rows per
+        # instance, not all 1,023 rows in every evaluation.
+        counters = count_barrier_evaluations(monkeypatch, mm_general)
         for k in range(12):
             model, budget = drawn_m10_instance(k)
+            counters.clear()
             res = optimize(model, budget)
+            assert sum(c.rows for c in counters) <= 30_000, k
             assert len(res.iterates) == len(res.trace), f"regression branch at k={k}"
             ok, worst = is_feasible(model, res.q, budget)
             assert ok and worst <= 1e-5, (k, worst)
@@ -187,6 +200,70 @@ class TestCertifiedSolves:
         for message in records:
             stats = {k.strip(): v for k, v in re.findall(r"([a-z ]+)=([^,\s]+)", message)}
             assert float(stats["gap"]) <= 1e-9 and float(stats["worst slack"]) >= 0.0
+
+
+def assert_matches_full_row_solve(problem, q):
+    """q meets every surrogate row and its objective matches the full-row
+    solve's to 1e-9, on the barrier's gap scale max(1, |objective|)."""
+    assert problem.value(q).max() <= 0.0
+    f = problem.objective_weights
+    reference = float(f @ full_row_solve(problem))
+    assert abs(f @ q - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
+class TestWorkingSet:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(1, 6))
+    def test_general_matches_full_row_solve(self, seed, M):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, M)
+        budget = RateBudget(rng.uniform(0.5, 2.0, size=M))
+        q = find_feasible_init(model, budget).q
+        work = np.zeros((1 << M) - 1, dtype=bool)
+        for _ in range(2):  # an empty mask, then the one the first solve left
+            problem = build_surrogate(model, budget, q)
+            q = solve_surrogate(problem, work).q
+            assert_matches_full_row_solve(problem, q)
+
+    @settings(max_examples=40, deadline=None)
+    @example(rho=0.25, sigma2=1.0, groups=[(2, 0.5), (2, 0.5)])  # restricted solve fails
+    @given(
+        rho=st.floats(0.0, 0.95),
+        sigma2=st.floats(0.5, 2.0),
+        groups=st.lists(
+            st.tuples(st.integers(1, 6), st.floats(0.5, 3.0)), min_size=2, max_size=3
+        ),
+    )
+    def test_grouped_matches_full_row_solve(self, rho, sigma2, groups):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=tuple(groups))
+        sel = enumerate_selections(model.group_sizes)
+
+        def feasible(q):
+            rows = theta(rho, sigma2, model.group_sizes, q, sel) - sel @ model.group_rates
+            return rows.max() <= 0.0
+
+        q = doubling_start(sigma2, len(groups), feasible)
+        work = np.zeros(sel.shape[0], dtype=bool)
+        for _ in range(2):
+            problem = _build_surrogate(model, sel, q)
+            q = solve_surrogate(problem, work).q
+            assert_matches_full_row_solve(problem, q)
+
+    def test_logs_working_set(self, caplog):
+        # One record per surrogate solve; the mask only grows, from the
+        # 2 * M = 20 seed rows by the rows each record adds.
+        with caplog.at_level(logging.DEBUG, logger="fedagg.mm_general"):
+            res = optimize(*drawn_m10_instance(3))
+        records = [r.getMessage() for r in caplog.records if r.name == "fedagg.mm_general"]
+        assert len(records) == res.iterations
+        size = 20
+        for message in records:
+            work, n, solves, added = map(int, re.fullmatch(
+                r"working set: (\d+) of (\d+) rows, (\d+) restricted solves, (\d+) rows added",
+                message).groups())
+            size += added
+            assert (work, n) == (size, 1023)
+            assert solves >= 1 and (added > 0) == (solves > 1)
 
 
 class TestOptimize:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedagg import mm_symmetric
+from fedagg import mm_general, mm_symmetric
 from fedagg.flharness import mbtc_aggregator, random_task, run_training
 from fedagg.errors import SolverError
 from fedagg.mm_general import doubling_start, optimize
@@ -191,12 +191,22 @@ class TestOptimizeSymmetric:
 
     def test_grouped_workload_evaluation_count(self, monkeypatch):
         # 3 groups of 20 devices at rho 0.9 (9,260 selection rows): about
-        # one constraint evaluation per interior-point iteration.
-        wrappers = count_barrier_evaluations(monkeypatch, mm_symmetric)
+        # one constraint evaluation per interior-point iteration, each on a
+        # working set of rows, not on all 9,260.
+        wrappers = count_barrier_evaluations(monkeypatch, mm_general)
         groups = ((20, 1.0), (20, 2.0), (20, 3.0))
         optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
         assert wrappers
         assert sum(w.values for w in wrappers) <= 1_000
+        assert sum(w.rows for w in wrappers) <= 20_000
+
+    def test_distortion_finite_at_huge_variance(self):
+        # gain**2 overflowed here; the distortion scales with sigma2.
+        groups = ((3, 0.01),)
+        huge = optimize_symmetric(SymmetricSourceModel(rho=0.5, sigma2=1e300, groups=groups), 1 / 3)
+        unit = optimize_symmetric(SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=groups), 1 / 3)
+        assert np.isfinite(huge.distortion)
+        assert huge.distortion == pytest.approx(1e300 * unit.distortion, rel=1e-9)
 
     def test_converges_where_newton_budget_ran_out(self):
         # A solve that is not centered before it moves on can exhaust the
@@ -228,14 +238,16 @@ class TestOptimizeSymmetric:
     def test_regression_step_repeats_last_distortion(self, monkeypatch):
         # A second surrogate solve that lands on larger q lowers the recast
         # objective: the MM keeps the first iterate and stops.
-        solver = mm_symmetric.minimize_linear
+        solver = mm_symmetric.solve_surrogate
         calls = []
 
-        def worse_second(f, cons, x0, **kwargs):
+        def worse_second(problem, work):
             calls.append(1)
-            return solver(f, cons, x0, **kwargs) if len(calls) == 1 else 2.0 * x0
+            if len(calls) == 1:
+                return solver(problem, work)
+            return MbtcParams(2.0 * problem.expansion_point)
 
-        monkeypatch.setattr(mm_symmetric, "minimize_linear", worse_second)
+        monkeypatch.setattr(mm_symmetric, "solve_surrogate", worse_second)
         model = SymmetricSourceModel(rho=0.8, sigma2=1.0, groups=((3, 1.0), (2, 2.0)))
         res = optimize_symmetric(model, lam=0.2)
         assert res.iterations == 2 and len(res.iterates) == 2
@@ -312,8 +324,8 @@ class TestOneGroupExact:
         def no_barrier(*args, **kwargs):
             raise AssertionError("a one-group model must not run the barrier")
 
-        monkeypatch.setattr(mm_symmetric, "minimize_linear", no_barrier)
-        monkeypatch.setattr(mm_symmetric, "interior_start", no_barrier)
+        monkeypatch.setattr(mm_general, "minimize_linear", no_barrier)
+        monkeypatch.setattr(mm_general, "interior_start", no_barrier)
         model = SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=((8, 3.0),))
         assert optimize_symmetric(model, lam=1.0 / 8).iterations == 1
         task = random_task(4, 16, samples_per_device=16, seed=5)
