@@ -28,14 +28,28 @@ above theta and equals it at q_hat. This replaces the paper's theta_up, which
 linearized only the log2(1 + (M - s) . u) term. MM stays monotone: q_hat is
 feasible for the surrogate, its optimum is feasible for the exact rows, and the
 linearized objective lies below the convex recast objective. Each surrogate is
-solved by ``mm_general.solve_surrogate`` on a working set of selection rows
-(24 of the 9,260 on 3 groups of 20 devices at rho 0.9) that grows until the
-returned point meets every row; a point optimal on a subset of the rows and
-feasible for all of them is the optimum of the full surrogate.
+solved by ``mm_general.solve_surrogate`` on a working set of rows that grows
+until the returned point meets every row; a point optimal on a subset of the
+rows and feasible for all of them is the optimum of the full surrogate.
+
+The rows are the 2^J - 1 whole-group selections s = b * (M_1, ..., M_J),
+b in {0, 1}^J minus 0, not all prod(M_j + 1) - 1 selections of the paper's
+Algorithm 2 (7 rows, not 9,260, on 3 groups of 20 devices). They decide
+feasibility exactly: at fixed q, row(s) = theta(q, s) - s . r is convex in s
+on the box prod [0, M_j], since its only nonlinear term is
+-1/2 log2(1 + (M - s) . u), minus the log of a positive affine function of s.
+A convex function on a box peaks at a vertex (Rockafellar, Convex Analysis,
+1970, Cor. 32.3.2), every vertex but s = 0 is a whole-group selection, and
+row(0) = 0. So every selection row holds if and only if the whole-group rows
+hold, and an MM on them solves the full problem. The barrier's point meets the
+surrogate rows, which lie above the exact ones, but rounding can leave an
+exact row a few ulps above 0; each MM step then nudges q up by 1, 2, 4, ...
+ulps until every exact whole-group row reads <= 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +66,7 @@ from .mm_general import (
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 
 MAX_SELECTIONS = 10**6
-NUDGES = 8  # one-group tries 1, 2, 4, ... ulps above the closed-form end
+NUDGES = 8  # steps of 1, 2, 4, ... ulps that pull a rounded-out q into the exact rows
 
 
 def enumerate_selections(group_sizes) -> np.ndarray:
@@ -180,6 +194,17 @@ def _solve_one_group(model: SymmetricSourceModel, worst):
     return q0, hi
 
 
+def _pull_in(q, rows):
+    """The first of q and its NUDGES nudges up by 1, 2, 4, ... ulps at which
+    every exact row (rows(q)) reads <= 0; q itself if none does."""
+    x = q
+    for k in range(NUDGES):
+        if rows(x).max() <= 0.0:
+            return x
+        x = x + np.spacing(x) * 2.0**k
+    return x if rows(x).max() <= 0.0 else q
+
+
 @dataclass(frozen=True)
 class SymmetricOptimizeResult:
     """Per-device parameters plus distortion/objective traces."""
@@ -190,7 +215,7 @@ class SymmetricOptimizeResult:
     trace: tuple  # distortion after each iteration (non-increasing)
     objective_trace: tuple  # recast objective (non-decreasing)
     iterations: int
-    n_constraints: int
+    n_constraints: int  # prod(M_j + 1) - 1 selection rows of the problem
     iterates: tuple = ()  # q_groups per iteration, starting at the initializer
 
 
@@ -204,15 +229,19 @@ def optimize_symmetric(
 
     One group runs no MM: its optimum comes from the closed-form bracket
     (module docstring), reported as one iteration from the bracket's feasible
-    upper end."""
+    upper end. Two or more groups carry the 2^J - 1 whole-group rows; more
+    than MAX_SELECTIONS of them raise ValueError."""
     if lam == 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be nonzero and finite, got {lam}")
     check_eps(eps)
     sizes = model.group_sizes
-    selections = enumerate_selections(sizes)
+    if len(sizes) == 1:
+        selections = enumerate_selections(sizes)
+    else:  # whole groups decide feasibility (module docstring)
+        selections = sizes * enumerate_selections(np.ones_like(sizes))
     budgets = selections @ model.group_rates
 
-    def rows(q):  # exact theta(q, s) - s . r of every selection
+    def rows(q):  # exact theta(q, s) - s . r of every selection carried
         return theta(model.rho, model.sigma2, sizes, q, selections) - budgets
 
     def objective(q):
@@ -221,7 +250,7 @@ def optimize_symmetric(
     work = np.zeros(selections.shape[0], dtype=bool)
 
     def step(q):
-        return solve_surrogate(_build_surrogate(model, selections, q), work).q
+        return _pull_in(solve_surrogate(_build_surrogate(model, selections, q), work).q, rows)
 
     if len(sizes) == 1:
         per_device = sizes[0] / selections[:, 0]  # M / s
@@ -240,6 +269,6 @@ def optimize_symmetric(
         trace=tuple(d_trace),
         objective_trace=obj_trace,
         iterations=iterations,
-        n_constraints=selections.shape[0],
+        n_constraints=math.prod(int(m) + 1 for m in sizes) - 1,
         iterates=iterates,
     )

@@ -51,7 +51,8 @@ def by_complement_size(members: np.ndarray):
     """
     outside = ~members
     sizes = outside.sum(axis=1)
-    for k in np.unique(sizes):
+    # bincount, not np.unique: numpy 2.4's unique imports numpy.ma on first use
+    for k in np.flatnonzero(np.bincount(sizes)):
         rows = np.flatnonzero(sizes == k)
         yield rows, np.nonzero(outside[rows])[1].reshape(rows.size, k)
 

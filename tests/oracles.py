@@ -3,15 +3,16 @@
 These deliberately avoid the library's closed-form code paths: the grid
 search re-derives determinants from principal-minor expansions, and the
 Monte-Carlo oracles estimate information/distortion quantities from samples.
-The reference formulas, source generators, the one-group bisection and the
-full-row surrogate solve at the end serve only the tests.
+The reference formulas, source generators, the one-group bisection, the
+full-row surrogate solve and the grouped grid search at the end serve only
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -426,3 +427,35 @@ def full_row_solve(problem) -> np.ndarray:
     for a working-set solve."""
     q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
     return minimize_linear(problem.objective_weights, problem, q0, x_min=Q_MIN)
+
+
+def grouped_grid_optimum(rho, sigma2, sizes, rates, lo=1e-5, hi=1e3, n_per_axis=200, refine=4):
+    """Largest recast objective sum_j M_j / (q_j + (1 - rho) sigma2) over a
+    log-spaced grid of group noise levels q in [lo, hi]^J, refined around the
+    incumbent. A grid point counts only if it meets the rate row of every
+    selection (all prod(M_j + 1) - 1 of them, each from its own nats formula).
+    Memory grows as n_per_axis^J; meant for J = 2. Returns (q_best, best)."""
+    sizes, rates = np.asarray(sizes, dtype=float), np.asarray(rates, dtype=float)
+    J = sizes.size
+    sels = np.array([v for v in product(*(range(int(m) + 1) for m in sizes)) if sum(v)], dtype=float)
+    a = (1.0 - rho) * sigma2
+    lo, hi = np.full(J, lo), np.full(J, hi)
+    best_q, best = None, -np.inf
+    for _ in range(refine):
+        axes = [np.geomspace(lo[j], hi[j], n_per_axis) for j in range(J)]
+        q = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, J)
+        u = rho * sigma2 / (a + q)
+        log_gain, log_full = np.log(1.0 + a / q), np.log(1.0 + u @ sizes)
+        ok = np.ones(q.shape[0], dtype=bool)
+        for s in sels:
+            nats = log_gain @ s + log_full - np.log(1.0 + u @ (sizes - s))
+            ok &= nats <= 2.0 * np.log(2.0) * (s @ rates)
+        if not ok.any():
+            break
+        objective = np.where(ok, (sizes / (q + a)).sum(axis=1), -np.inf)
+        k = int(np.argmax(objective))
+        if objective[k] > best:
+            best, best_q = float(objective[k]), q[k].copy()
+        step = np.log(hi / lo) / (n_per_axis - 1)  # shrink to +/- 2 cells
+        lo, hi = best_q * np.exp(-2.0 * step), best_q * np.exp(2.0 * step)
+    return best_q, best

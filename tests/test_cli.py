@@ -144,6 +144,16 @@ class TestOptimize:
         assert "symmetric" not in config
         assert run(["optimize", "--model", p, "--symmetric", "--out", str(out)]) == 2
 
+    def test_symmetric_model_above_selection_cap(self, capsys, tmp_path):
+        # 5 groups of 20 devices: 4,084,100 selections, above MAX_SELECTIONS;
+        # the optimizer carries the 31 whole-group rows.
+        groups = tuple((20, r) for r in (1.0, 1.5, 2.0, 2.5, 3.0))
+        p = write_symmetric_model(tmp_path / "s.json", rho=0.8, groups=groups)
+        out = tmp_path / "res.json"
+        assert run(["optimize", "--model", p, "--lam", "0.01", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["q_star"]) == 100 and payload["D_star"] > 0
+
     def test_deterministic_rows(self, capsys, tmp_path):
         p = write_general_model(
             tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5]

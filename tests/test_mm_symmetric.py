@@ -21,7 +21,7 @@ from fedagg.mm_symmetric import (
 )
 from fedagg.model import Q_MIN, MbtcParams, RateBudget, SymmetricSourceModel
 from fedagg.region import cond_mutual_info, distortion, is_feasible, sum_mutual_info
-from oracles import bisect_one_group, theta_decimal
+from oracles import bisect_one_group, grouped_grid_optimum, theta_decimal
 from test_barrier import count_barrier_evaluations
 
 
@@ -91,6 +91,15 @@ def exact_rows(model: SymmetricSourceModel, q, selections) -> np.ndarray:
     """Exact theta(q, s) - s . r for every selection, one batched call."""
     bits = theta(model.rho, model.sigma2, model.group_sizes, q, selections)
     return bits - selections @ model.group_rates
+
+
+def drawn_grouped_model(k: int) -> SymmetricSourceModel:
+    """3 groups of 20 devices from default_rng([k, 7]): rho ~ U(0.5, 0.95),
+    sorted rates ~ U(0.5, 3), sigma2 = 1; solved at lambda = 1/60."""
+    rng = np.random.default_rng([k, 7])
+    rho = rng.uniform(0.5, 0.95)
+    rates = np.sort(rng.uniform(0.5, 3.0, size=3))
+    return SymmetricSourceModel(rho=rho, sigma2=1.0, groups=tuple((20, float(r)) for r in rates))
 
 
 class TestGroupedSurrogate:
@@ -190,9 +199,9 @@ class TestOptimizeSymmetric:
             optimize_symmetric(model, lam=lam)
 
     def test_grouped_workload_evaluation_count(self, monkeypatch):
-        # 3 groups of 20 devices at rho 0.9 (9,260 selection rows): about
-        # one constraint evaluation per interior-point iteration, each on a
-        # working set of rows, not on all 9,260.
+        # 3 groups of 20 devices at rho 0.9 (9,260 selections, 7 whole-group
+        # rows): about one constraint evaluation per interior-point
+        # iteration, each on a working set of rows.
         wrappers = count_barrier_evaluations(monkeypatch, mm_general)
         groups = ((20, 1.0), (20, 2.0), (20, 3.0))
         optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
@@ -223,12 +232,8 @@ class TestOptimizeSymmetric:
     def test_converges_on_drawn_model_8_7(self):
         # default_rng([8, 7]) draws rho 0.5585 and rates (0.9111, 1.0951,
         # 1.4483), a model on which uncentered solves exhaust the budget.
-        rng = np.random.default_rng([8, 7])
-        rho = rng.uniform(0.5, 0.95)
-        rates = np.sort(rng.uniform(0.5, 3.0, size=3))
-        assert rho == pytest.approx(0.5585, abs=1e-4)
-        groups = tuple((20, float(r)) for r in rates)
-        model = SymmetricSourceModel(rho=rho, sigma2=1.0, groups=groups)
+        model = drawn_grouped_model(8)
+        assert model.rho == pytest.approx(0.5585, abs=1e-4)
         res = optimize_symmetric(model, 1 / 60)
         sel = enumerate_selections(model.group_sizes)
         rows = exact_rows(model, res.q_groups, sel)
@@ -254,6 +259,112 @@ class TestOptimizeSymmetric:
         assert len(res.trace) == len(res.objective_trace) == 3
         assert res.trace[-1] == res.trace[-2] == res.distortion
         assert res.objective_trace[-1] == res.objective_trace[-2]
+        assert np.array_equal(res.q_groups, res.iterates[-1])
+
+
+class TestWholeGroupRows:
+    """J >= 2 carries only the whole-group selections; enumerate_selections
+    (every selection) and a grid search are the oracles."""
+
+    @settings(max_examples=300)
+    @given(
+        rho=st.floats(0.0, 0.999, exclude_max=True),
+        sigma2=st.floats(0.5, 2.0),
+        groups=st.lists(
+            st.tuples(st.integers(1, 8), st.floats(0.1, 4.0)), min_size=1, max_size=4
+        ),
+        log_q=st.lists(st.floats(-2.0, 3.0), min_size=4, max_size=4),
+    )
+    def test_whole_groups_decide_feasibility(self, rho, sigma2, groups, log_q):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=tuple(groups))
+        sizes = model.group_sizes
+        q = 10.0 ** np.array(log_q[: sizes.size])
+        sel = enumerate_selections(sizes)
+        rows = exact_rows(model, q, sel)
+        whole = np.all((sel == 0) | (sel == sizes), axis=1)
+        assert whole.sum() == 2**sizes.size - 1
+        assert abs(max(0.0, rows.max()) - max(0.0, rows[whole].max())) <= 1e-12
+
+    def test_solves_above_the_selection_cap(self):
+        # 21^5 - 1 = 4,084,100 selections; every exact row is checked in
+        # chunks of one first-group count each, without enumerate_selections.
+        groups = tuple((20, r) for r in (1.0, 1.5, 2.0, 2.5, 3.0))
+        model = SymmetricSourceModel(rho=0.8, sigma2=1.0, groups=groups)
+        res = optimize_symmetric(model, 1 / 100)
+        assert res.n_constraints == 21**5 - 1
+        sizes = model.group_sizes
+        rest = np.indices(tuple(sizes[1:] + 1)).reshape(sizes.size - 1, -1).T
+        worst = -np.inf
+        for first in range(sizes[0] + 1):
+            sel = np.column_stack([np.full(rest.shape[0], first), rest])
+            worst = max(worst, exact_rows(model, res.q_groups, sel).max())
+        assert worst <= 0.0
+
+    @settings(max_examples=20)
+    @given(
+        rho=st.floats(0.0, 0.98),
+        groups=st.lists(
+            st.tuples(st.integers(2, 12), st.floats(0.2, 4.0)), min_size=2, max_size=2
+        ),
+    )
+    def test_two_groups_match_grid_optimum(self, rho, groups):
+        # 4 to 24 devices, past the 2 or 3 that criterion 2's grid covers.
+        model = SymmetricSourceModel(rho=rho, sigma2=1.0, groups=tuple(groups))
+        res = optimize_symmetric(model, 1.0 / model.M)
+        mm = symmetric_objective(rho, 1.0, model.group_sizes, res.q_groups)
+        _, grid = grouped_grid_optimum(rho, 1.0, model.group_sizes, model.group_rates)
+        assert grid <= mm * (1.0 + 1e-8)
+
+    def test_theta_row_budget(self, monkeypatch):
+        # The benchmark's 3 x 20 model: 7 rows per exact check, not 9,260.
+        rows = []
+
+        def counted(*args):
+            rows.append(np.atleast_2d(args[4]).shape[0])
+            return theta(*args)
+
+        monkeypatch.setattr(mm_symmetric, "theta", counted)
+        groups = ((20, 1.0), (20, 2.0), (20, 3.0))
+        optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
+        assert set(rows) == {7}
+        assert sum(rows) <= 100
+
+    def test_group_count_cap(self, monkeypatch):
+        # 2^21 - 1 whole-group rows exceed MAX_SELECTIONS: rejected before any work.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the cap must reject the model before any work")
+
+        monkeypatch.setattr(mm_symmetric, "theta", no_work)
+        monkeypatch.setattr(mm_symmetric, "solve_surrogate", no_work)
+        model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((1, 1.0),) * 21)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            optimize_symmetric(model, 1 / 21)
+
+    @pytest.mark.parametrize(
+        "model",
+        # An MM over all 9,260 selections ended up to 2.8e-14 bits above 0
+        # on these three drawn models.
+        [drawn_grouped_model(k) for k in (19, 36, 37)]
+        + [
+            # Without the nudge the last MM point reads 8.9e-16, 7.1e-15 and
+            # 2.8e-14 bits above 0 on these models.
+            SymmetricSourceModel(rho=0.863, sigma2=1.0, groups=((5, 1.2442), (22, 3.5931))),
+            SymmetricSourceModel(rho=0.2954, sigma2=1.0, groups=((12, 0.394), (20, 2.1913))),
+            SymmetricSourceModel(
+                rho=0.6261,
+                sigma2=1.0,
+                groups=((9, 3.2328), (16, 1.9216), (14, 0.539), (12, 0.9143)),
+            ),
+        ],
+        ids=["drawn-19", "drawn-36", "drawn-37", "rho-0.863", "rho-0.2954", "rho-0.6261"],
+    )
+    def test_exact_rows_hold_after_pull_back(self, model):
+        # The barrier's point meets the surrogate rows, but an exact row can
+        # round a few ulps above 0 there; each MM step nudges q back in.
+        res = optimize_symmetric(model, 1.0 / model.M)
+        sel = enumerate_selections(model.group_sizes)
+        for q in res.iterates:
+            assert exact_rows(model, q, sel).max() <= 0.0
         assert np.array_equal(res.q_groups, res.iterates[-1])
 
 

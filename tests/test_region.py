@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fedagg
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -283,3 +289,23 @@ class TestSingleSourceRd:
             assert distortion(model, MbtcParams([q_star])) == pytest.approx(
                 d_star, rel=1e-12
             )
+
+
+def test_optimizers_leave_numpy_ma_unloaded():
+    # by_complement_size groups rows without np.unique, whose first call
+    # imports numpy.ma (numpy 2.4): 12-16 ms and about 1 MiB inside a job.
+    code = """
+import sys
+from fedagg.mm_general import optimize
+from fedagg.mm_symmetric import optimize_symmetric
+from fedagg.model import SymmetricSourceModel
+
+model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((2, 1.0), (3, 1.5)))
+optimize_symmetric(model, 0.2)
+optimize(*model.expand(lam=0.2))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(fedagg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
