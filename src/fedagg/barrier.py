@@ -6,9 +6,12 @@ Wright, Primal-Dual Interior-Point Methods, SIAM 1997) on the slack form
 g(x) + s = 0 (Nocedal & Wright, Numerical Optimization, ch. 19), from
 s = max(-g(x0), 1e-3) and lambda = mu0 / s, mu0 fitting f + J'lambda = 0:
 slacks that start near zero would shrink out of step with the dual residual.
-Each iteration solves H + J' diag(lambda / s) J, scaled to a unit diagonal,
-for the predictor and the corrector (centering (mu_aff / mu)^3); steps are
-0.95 of the longest that keeps s and lambda positive.
+Each iteration takes R from one QR of [sqrt(lambda / s) J; sqrt(H)], H
+diagonal, and solves R'R dx = rhs by two triangular solves, for the predictor
+and the corrector (centering (mu_aff / mu)^3). The floor rows give the stack
+full column rank. R'R = H + J' diag(lambda / s) J, which is never formed: the
+formed sum loses H once a few active rows outweigh the rest by about 1e16.
+Steps are 0.95 of the longest that keeps s and lambda positive.
 
 It stops on a certificate (Boyd & Vandenberghe, Convex Optimization, 11.7):
 dual residual f + J'lambda <= 1e-10 and gap eta = -g(x)'lambda <= 1e-9, both
@@ -56,25 +59,14 @@ def _max_step(s, ds, lam, dlam):
     return 1.0 / shrink if shrink > 0 else np.inf
 
 
-def _solve_shifted(k, rhs):
-    """Solve k y = rhs for positive semidefinite k with a unit diagonal by LU (which
-    rounding cannot break, unlike Cholesky); a growing diagonal shift repairs a singular k."""
-    for shift in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0):
-        try:
-            return np.linalg.solve(k + shift * np.eye(k.shape[0]), rhs)
-        except np.linalg.LinAlgError:
-            continue
-    raise SolverError("reduced Newton matrix is singular")
-
-
 def minimize_linear(f, cons, x0, x_min=0.0):
     """Minimize f'x over {g(x) <= 0, x >= x_min} from a strictly feasible x0
     to a point where every row is <= 0. Raises SolverError, carrying the last
     strictly feasible iterate, after MAX_NEWTON_TOTAL iterations.
 
     cons is the constraint set of n smooth convex rows g(x) <= 0: value(x) ->
-    (n,) array; grad(x) -> (n, dim) array; hess_weighted(x, w) -> (dim, dim)
-    array equal to sum_i w_i * Hess g_i(x)."""
+    (n,) array; grad(x) -> (n, dim) array; hess_weighted(x, w) -> (dim,)
+    array, the diagonal of sum_i w_i * Hess g_i(x), which must be diagonal."""
     f, x = np.asarray(f, dtype=float), np.array(x0, dtype=float)
     dim = x.shape[0]
     x_min = np.broadcast_to(np.asarray(x_min, dtype=float), (dim,))
@@ -115,13 +107,13 @@ def minimize_linear(f, cons, x0, x_min=0.0):
         if iteration == MAX_NEWTON_TOTAL:
             raise SolverError(f"barrier exceeded {iteration} Newton iterations", last_iterate=x_in)
         w, r_prim = lam / s, g + s
-        k = cons.hess_weighted(x, lam[:n_cons]) + (jac.T * w) @ jac
-        d = np.sqrt(np.maximum(np.diag(k), np.finfo(float).tiny))  # to a unit diagonal
+        h = cons.hess_weighted(x, lam[:n_cons])
+        r = np.linalg.qr(np.vstack([np.sqrt(w)[:, None] * jac, np.diag(np.sqrt(h))]), mode="r")
 
         def direction(r_cent):
             # Newton step on (f + J'lam, g + s, s*lam - target), r_cent = s*lam - target
             rhs = jac.T @ (r_cent / s - w * r_prim) - r_dual
-            dx = _solve_shifted(k / np.outer(d, d), rhs / d) / d
+            dx = np.linalg.solve(r, np.linalg.solve(r.T, rhs))
             ds = -r_prim - jac @ dx
             return dx, -(r_cent + lam * ds) / s, ds
 

@@ -25,7 +25,9 @@ and solving again until none is. That point is optimal for a relaxation of
 the surrogate (fewer rows) and feasible for all of it, so it is the full
 surrogate's optimum; the restricted multipliers, padded with zeros for the
 rows left out, keep the barrier's gap certificate valid for the full
-surrogate.
+surrogate. The barrier certifies a restricted problem even where it is
+degenerate and the full one is not (a row touching the optimum with a zero
+multiplier).
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SurrogateProblem:
         return self.linear_weights - HALF_LOG2E * self.log_weights / q[None, :]
 
     def hess_weighted(self, q, w):
-        return np.diag(HALF_LOG2E * (w @ self.log_weights) / q**2)
+        return HALF_LOG2E * (w @ self.log_weights) / q**2
 
     def restrict(self, rows) -> SurrogateProblem:
         """The same surrogate on the rows that the boolean mask rows selects."""
@@ -128,10 +130,7 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
     empty one is seeded with the 2 * dim rows of least slack at the interior
     start. Each restricted solve starts from that strictly interior point of
     all rows. While the result breaks rows outside work, up to 2 * dim of the
-    most violated join work and the solve repeats. A restricted problem can
-    be degenerate where the full one is not (a row in work that touches the
-    optimum with a zero multiplier), so a restricted solve the barrier cannot
-    certify puts every row in work.
+    most violated join work and the solve repeats.
     """
     q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
     batch = 2 * q0.shape[0]
@@ -140,14 +139,7 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
     solves = added = 0
     while True:
         solves += 1
-        try:
-            q = minimize_linear(problem.objective_weights, problem.restrict(work), q0, x_min=Q_MIN)
-        except SolverError:
-            if work.all():
-                raise
-            added += int((~work).sum())
-            work[:] = True
-            continue
+        q = minimize_linear(problem.objective_weights, problem.restrict(work), q0, x_min=Q_MIN)
         g = problem.value(q)
         violated = np.flatnonzero((g > 0) & ~work)
         if not violated.size:

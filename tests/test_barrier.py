@@ -32,7 +32,7 @@ class HalfspaceConstraints:
         return self.A
 
     def hess_weighted(self, x, w):
-        return np.zeros((x.shape[0], x.shape[0]))
+        return np.zeros(x.shape[0])
 
 
 class CountingConstraints:

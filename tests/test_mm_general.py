@@ -2,12 +2,14 @@
 
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fedagg import mm_general
+from fedagg import barrier, mm_general
+from fedagg.barrier import interior_start, minimize_linear
 from fedagg.mm_general import (
     OptimizeResult,
     build_surrogate,
@@ -19,6 +21,7 @@ from fedagg.mm_general import (
 )
 from fedagg.mm_symmetric import _build_surrogate, enumerate_selections, theta
 from fedagg.model import (
+    Q_MIN,
     GaussianSourceModel,
     MbtcParams,
     RateBudget,
@@ -201,6 +204,17 @@ class TestCertifiedSolves:
             stats = {k.strip(): v for k, v in re.findall(r"([a-z ]+)=([^,\s]+)", message)}
             assert float(stats["gap"]) <= 1e-9 and float(stats["worst slack"]) >= 0.0
 
+    @pytest.mark.parametrize("k", [39, 15])
+    def test_certifies_below_the_formed_matrix_floor(self, k):
+        # A formed H + J' diag(lambda / s) J loses H once a few active rows
+        # outweigh the rest by about 1e16; on model 39 its dual residual then
+        # stalls above 3e-11.
+        model, budget = drawn_m10_instance(k)
+        with mock.patch.object(barrier, "RESIDUAL_TOL", 3e-11):
+            res = optimize(model, budget)
+        ok, worst = is_feasible(model, res.q, budget)
+        assert ok, (k, worst)
+
 
 def assert_matches_full_row_solve(problem, q):
     """q meets every surrogate row and its objective matches the full-row
@@ -226,7 +240,7 @@ class TestWorkingSet:
             assert_matches_full_row_solve(problem, q)
 
     @settings(max_examples=40, deadline=None)
-    @example(rho=0.25, sigma2=1.0, groups=[(2, 0.5), (2, 0.5)])  # restricted solve fails
+    @example(rho=0.25, sigma2=1.0, groups=[(2, 0.5), (2, 0.5)])  # a degenerate restricted solve
     @given(
         rho=st.floats(0.0, 0.95),
         sigma2=st.floats(0.5, 2.0),
@@ -248,6 +262,26 @@ class TestWorkingSet:
             problem = _build_surrogate(model, sel, q)
             q = solve_surrogate(problem, work).q
             assert_matches_full_row_solve(problem, q)
+
+    def test_certifies_a_zero_multiplier_row(self, caplog):
+        # Rows (0,1), (1,0), (1,1) and (2,0) of this surrogate: row (2,0)
+        # touches the optimum with a zero multiplier while the multiplier of
+        # binding row (1,1) grows without bound. The solve must still end on
+        # its gap certificate, at the symmetric optimum.
+        model = SymmetricSourceModel(rho=0.25, sigma2=1.0, groups=((2, 0.5), (2, 0.5)))
+        sel = enumerate_selections(model.group_sizes)
+        budgets = sel @ model.group_rates
+        q_hat = doubling_start(
+            1.0, 2, lambda q: (theta(0.25, 1.0, model.group_sizes, q, sel) - budgets).max() <= 0.0
+        )
+        problem = _build_surrogate(model, sel, q_hat)
+        rows = (sel[:, None] == [[0, 1], [1, 0], [1, 1], [2, 0]]).all(axis=2).any(axis=1)
+        q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
+        with caplog.at_level(logging.DEBUG, logger="fedagg.barrier"):
+            q = minimize_linear(problem.objective_weights, problem.restrict(rows), q0, x_min=Q_MIN)
+        (message,) = [r.getMessage() for r in caplog.records if r.name == "fedagg.barrier"]
+        assert float(re.search(r"gap=([^,\s]+)", message).group(1)) <= 1e-9
+        assert q[0] == pytest.approx(q[1], rel=1e-12, abs=0.0)
 
     def test_logs_working_set(self, caplog):
         # One record per surrogate solve; the mask only grows, from the

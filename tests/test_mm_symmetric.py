@@ -457,6 +457,16 @@ class TestOneGroupExact:
         reference = bisect_one_group(feasible, doubling_start(sigma2, 1, feasible))
         assert q[0] == pytest.approx(reference[0], rel=1e-12, abs=0.0)
 
+    @settings(max_examples=200)
+    @given(**{**wide_one_group, "rho": st.just(0.0) | wide_one_group["rho"], "M": st.integers(1, 64)})
+    def test_every_row_holds_exactly(self, rho, sigma2, M, r):
+        # At rho = 0 row s is s times row 1 up to rounding, so the sum-rate
+        # row alone can read <= 0 while a smaller row rounds above 0: the
+        # optimizer must test every row, each scaled by M / s.
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        q = optimize_symmetric(model, lam=1.0 / M).q_groups
+        assert one_group_rows(model, q[0]).max() <= 0.0
+
     @given(**wide_one_group)
     def test_closed_form_bracket(self, rho, sigma2, M, r):
         # With d = 2^(2r) - 1, every row holds at sigma2 / d and none has
