@@ -127,15 +127,17 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
     at the returned point.
 
     work is a boolean row mask that the caller keeps for a whole MM run; an
-    empty one is seeded with the 2 * dim rows of least slack at the interior
-    start. Each restricted solve starts from that strictly interior point of
-    all rows. While the result breaks rows outside work, up to 2 * dim of the
+    empty one is seeded with every row when there are at most 4 * dim of
+    them, else with the 2 * dim rows of least slack at the interior start.
+    Each restricted solve starts from that strictly interior point of all
+    rows. While the result breaks rows outside work, up to 2 * dim of the
     most violated join work and the solve repeats.
     """
     q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
     batch = 2 * q0.shape[0]
     if not work.any():
-        work[np.argsort(problem.value(q0))[-batch:]] = True
+        rows = np.argsort(problem.value(q0))[-batch:] if work.size > 2 * batch else slice(None)
+        work[rows] = True
     solves = added = 0
     while True:
         solves += 1

@@ -202,14 +202,12 @@ class MbtcParams:
 
 
 def empirical_covariance(updates) -> np.ndarray:
-    """Cross second moments g_i . g_j / N of mean-removed update vectors."""
-    vecs = [np.asarray(u, dtype=float) for u in updates]
-    n = vecs[0].shape[0]
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] != n:
-            raise ValueError("all update vectors must be 1-D with equal length")
-    g = np.stack(vecs)
-    return g @ g.T / n
+    """Cross second moments g_i . g_j / N of mean-removed update vectors,
+    given as an (M, N) array (used without a copy) or M equal-length vectors."""
+    g = np.asarray(updates, dtype=float)
+    if g.ndim != 2:
+        raise ValueError("all update vectors must be 1-D with equal length")
+    return g @ g.T / g.shape[1]
 
 
 def load_model(text: str):

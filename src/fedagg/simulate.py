@@ -2,9 +2,9 @@
 achievability scheme, baseline quantizers, and distortion/rate measurement.
 
 Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
-(estimate of c @ vectors, charged bits per device). A call with seed s rotates
-every device by the public seed seed_stream(s, "rotation"), and device m draws
-its dither from seed_stream(s, "dev", m).
+(estimate of c @ vectors, charged bits per device). A call with seed s shares
+the public rotation seed_stream(s, "rotation") among all devices, and device m
+draws its dither from seed_stream(s, "dev", m).
 
 Rates are charged honestly: baselines from their actual emitted symbol
 widths, the surrogate analytically from the mutual-information values at the
@@ -33,15 +33,16 @@ from .transform import DeviceUpdateBatch, haar_derotate, haar_rotate, inverse_tr
 SCALAR_BITS = 64  # one float64 side-channel scalar (norm or scale)
 
 
-def synthetic_sources(rho: float, M: int, N: int, seed: int):
-    """y_m = sqrt(rho) s + sqrt(1-rho) w_m: unit variance, pairwise correlation rho."""
+def synthetic_sources(rho: float, M: int, N: int, seed: int) -> np.ndarray:
+    """(M, N) rows y_m = sqrt(rho) s + sqrt(1-rho) w_m: unit variance, correlation rho."""
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must be in [0, 1), got {rho}")
-    shared = np.random.default_rng(seed_stream(seed, "shared")).standard_normal(N)
-    out = []
-    for m in range(M):
-        w = np.random.default_rng(seed_stream(seed, "device", m)).standard_normal(N)
-        out.append(np.sqrt(rho) * shared + np.sqrt(1.0 - rho) * w)
+    shared = np.sqrt(rho) * np.random.default_rng(seed_stream(seed, "shared")).standard_normal(N)
+    out = np.empty((M, N))
+    for m, y in enumerate(out):
+        np.random.default_rng(seed_stream(seed, "device", m)).standard_normal(out=y)
+        y *= np.sqrt(1.0 - rho)
+        y += shared
     return out
 
 
@@ -54,21 +55,19 @@ def measure_distortion(target, estimate) -> float:
     return float(np.sum((target - estimate) ** 2) / target.shape[0])
 
 
-def mbtc_noise_surrogate(x_vectors, model: GaussianSourceModel, q_star, seed: int):
-    """Decoder-output surrogate: add N(0, q_m) noise per device, MMSE-combine."""
-    x = np.atleast_2d(np.asarray(x_vectors, dtype=float))
+def mbtc_noise_surrogate(n: int, model: GaussianSourceModel, q_star, seed: int):
+    """Combined test-channel noise w @ z of the decoder-output surrogate: device
+    m adds z_m ~ N(0, q_m I_n) from seed_stream(seed, "aux-noise", m), a silent
+    device (q_m = +inf) none, and w is the MMSE combiner."""
     qv = q_star.q if isinstance(q_star, MbtcParams) else np.asarray(q_star, dtype=float)
-    if x.shape[0] != model.M:
-        raise ValueError(f"got {x.shape[0]} vectors for an M = {model.M} model")
+    if qv.shape != (model.M,):
+        raise ValueError(f"got {qv.size} test-channel variances for an M = {model.M} model")
     w = mmse_combiner(model, qv)
-    u = np.empty_like(x)
-    for m in range(x.shape[0]):
-        if not np.isposinf(qv[m]):
-            rng = np.random.default_rng(seed_stream(seed, "aux-noise", m))
-            u[m] = x[m] + np.sqrt(qv[m]) * rng.standard_normal(x.shape[1])
-        else:
-            u[m] = 0.0  # silent device; its combiner weight is zero anyway
-    return w @ u
+    out = np.zeros(n)
+    for m in np.flatnonzero(~np.isposinf(qv)):
+        rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
+        out += w[m] * np.sqrt(qv[m]) * rng.standard_normal(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,9 @@ def mbtc_aggregate(
     optimizer_choice: str = "general",
     seed: int = 0,
 ) -> AggregationResult:
-    """Full pipeline: rotate, estimate statistics, optimize, add auxiliary
-    noise, combine, inverse-transform."""
+    """Full pipeline: estimate statistics, optimize, add auxiliary noise,
+    combine, inverse-transform. All devices share the public rotation R, so
+    R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z), and no device is rotated."""
     c = np.asarray(c, dtype=float)
     model = GaussianSourceModel(sigma_x=empirical_covariance(batch.mean_removed), c=c)
     if not batch.mean_removed.any():
@@ -123,8 +123,10 @@ def mbtc_aggregate(
         q = MbtcParams(res.q_groups[group])
     else:
         raise ValueError(f"unknown optimizer {optimizer_choice!r}")
-    x_hat = mbtc_noise_surrogate(batch.rotated, model, q, seed)
-    estimate = inverse_transform(x_hat, batch.means, c, batch.rotation_seed, batch.segment_len)
+    noise = mbtc_noise_surrogate(batch.N, model, q, seed)
+    estimate = mmse_combiner(model, q) @ batch.mean_removed + inverse_transform(
+        noise, batch.means, c, batch.rotation_seed, batch.segment_len
+    )
     target = c @ batch.updates
     return AggregationResult(
         estimate=estimate,
@@ -166,7 +168,7 @@ def _quantize_rotated(x, bits_per_element: int):
     """Uniform quantizer body over already rotated rows, with one scale
     (the row's standard deviation) per row. The step is Gaussian MSE-optimal
     up to 6 bits and spans [-4 sigma, 4 sigma] from 7 bits on; a row of scale
-    0 quantizes to zeros."""
+    0 quantizes to zeros. Works in place on x, a buffer the caller owns."""
     b = bits_per_element
     if b < 1:
         raise ValueError(f"bits_per_element must be >= 1, got {b}")
@@ -177,8 +179,15 @@ def _quantize_rotated(x, bits_per_element: int):
         GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels
     )
     lo = -0.5 * levels * step
-    idx = np.clip(np.floor((x - lo) / step), 0, levels - 1)
-    return np.where(silent, 0.0, lo + (idx + 0.5) * step)
+    x -= lo
+    x /= step
+    np.floor(x, out=x)
+    np.clip(x, 0, levels - 1, out=x)
+    x += 0.5
+    x *= step
+    x += lo
+    np.copyto(x, 0.0, where=silent)
+    return x
 
 
 def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
@@ -236,9 +245,8 @@ def uniform_aggregator(bits_per_element: int):
 
     def aggregate(vectors, c, seed):
         rotation = seed_stream(seed, "rotation")
-        x = haar_rotate(np.stack(vectors), rotation)
-        x_hat = _quantize_rotated(x, bits_per_element)
-        estimate = haar_derotate(np.asarray(c, dtype=float) @ x_hat, rotation)
+        x = _quantize_rotated(haar_rotate(vectors, rotation), bits_per_element)
+        estimate = haar_derotate(np.asarray(c, dtype=float) @ x, rotation)
         return estimate, np.full(x.shape[0], bits_per_element + SCALAR_BITS / x.shape[1])
 
     return aggregate
@@ -248,9 +256,7 @@ def mbtc_aggregator(budget: RateBudget):
     """The mbtc pipeline with the grouped optimizer, charged its singleton rates."""
 
     def aggregate(vectors, c, seed):
-        batch = DeviceUpdateBatch(
-            updates=np.stack(vectors), rotation_seed=seed_stream(seed, "rotation")
-        )
+        batch = DeviceUpdateBatch(updates=vectors, rotation_seed=seed_stream(seed, "rotation"))
         res = mbtc_aggregate(batch, c, budget, optimizer_choice="symmetric", seed=seed)
         return res.estimate, res.rate_report
 

@@ -25,13 +25,13 @@ def haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))[None, :]
 
 
-def _hartley(x: np.ndarray) -> np.ndarray:
-    # Orthonormal DHT along the last axis: symmetric and its own inverse.
-    # From the real FFT f: H[k] = Re f[k] - Im f[k] for k <= n/2, and the
-    # mirrored bins H[n-k] = Re f[k] + Im f[k] for 1 <= k <= (n-1)/2.
+def _hartley(x: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # Orthonormal DHT along the last axis, written to out (which may be x):
+    # symmetric and its own inverse. f is complex scratch of the real FFT's
+    # shape. From the real FFT f: H[k] = Re f[k] - Im f[k] for k <= n/2, and
+    # the mirrored bins H[n-k] = Re f[k] + Im f[k] for 1 <= k <= (n-1)/2.
     n = x.shape[-1]
-    f = np.fft.rfft(x, norm="ortho")
-    out = np.empty(x.shape)
+    np.fft.rfft(x, norm="ortho", out=f)
     np.subtract(f.real, f.imag, out=out[..., : n // 2 + 1])
     h = (n - 1) // 2
     np.add(f.real[..., h:0:-1], f.imag[..., h:0:-1], out=out[..., n - h :])
@@ -41,6 +41,8 @@ def _hartley(x: np.ndarray) -> np.ndarray:
 def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
     # Accepts a vector or row-stacked vectors. All full segments of all rows
     # go through one batched transform; the short tail takes one more call.
+    # Both Hartley passes and the sign flips run inside the output buffer,
+    # with one complex scratch array per segment length.
     if segment_len < 1:
         raise ValueError(f"segment_len must be >= 1, got {segment_len}")
     v = np.asarray(v, dtype=float)
@@ -48,13 +50,19 @@ def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
     d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
     full = n - n % segment_len
-    out = np.empty_like(v)
+    out = np.empty(v.shape)
     for lo, hi, seg in ((0, full, segment_len), (full, n, n - full)):
         if lo < hi:
-            x = v[..., lo:hi].reshape(v.shape[:-1] + ((hi - lo) // seg, seg))
+            shape = v.shape[:-1] + ((hi - lo) // seg, seg)
+            # A reshape of a column range of the C-ordered out is a view.
+            x, y = v[..., lo:hi].reshape(shape), out[..., lo:hi].reshape(shape)
             s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
-            y = s1 * _hartley(s2 * _hartley(x)) if inverse else _hartley(s2 * _hartley(s1 * x))
-            out[..., lo:hi] = y.reshape(v.shape[:-1] + (hi - lo,))
+            f = np.empty(shape[:-1] + (seg // 2 + 1,), dtype=complex)
+            _hartley(x if inverse else np.multiply(s1, x, out=y), y, f)
+            y *= s2
+            _hartley(y, y, f)
+            if inverse:
+                y *= s1
     return out
 
 
@@ -85,7 +93,8 @@ def inverse_transform(x_hat, means, c, seed: int, segment_len: int = DEFAULT_SEG
 
 @dataclass(frozen=True)
 class DeviceUpdateBatch:
-    """Raw local updates plus the shared rotation seed and segmentation."""
+    """Raw local updates (an (M, N) float array is held without a copy) plus
+    the shared rotation seed and segmentation."""
 
     updates: np.ndarray  # (M, N)
     rotation_seed: int
@@ -112,7 +121,3 @@ class DeviceUpdateBatch:
     @cached_property
     def mean_removed(self) -> np.ndarray:
         return self.updates - self.means[:, None]
-
-    @cached_property
-    def rotated(self) -> np.ndarray:
-        return haar_rotate(self.mean_removed, self.rotation_seed, self.segment_len)

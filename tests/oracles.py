@@ -389,6 +389,56 @@ def rotation_reference(v, seed: int, segment_len: int, inverse: bool = False) ->
     return out
 
 
+def allocating_segments(v, seed: int, segment_len: int, inverse: bool = False) -> np.ndarray:
+    """The rotation as the library computed it before it ran in its output
+    buffer: each Hartley pass and sign flip returns a new array. The same
+    operations in the same order, so the in-place map must equal it bit for bit."""
+
+    def hartley(x):
+        n = x.shape[-1]
+        f = np.fft.rfft(x, norm="ortho")
+        out = np.empty(x.shape)
+        np.subtract(f.real, f.imag, out=out[..., : n // 2 + 1])
+        h = (n - 1) // 2
+        np.add(f.real[..., h:0:-1], f.imag[..., h:0:-1], out=out[..., n - h :])
+        return out
+
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1]
+    rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
+    d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
+    full = n - n % segment_len
+    out = np.empty_like(v)
+    for lo, hi, seg in ((0, full, segment_len), (full, n, n - full)):
+        if lo < hi:
+            x = v[..., lo:hi].reshape(v.shape[:-1] + ((hi - lo) // seg, seg))
+            s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
+            y = s1 * hartley(s2 * hartley(x)) if inverse else hartley(s2 * hartley(s1 * x))
+            out[..., lo:hi] = y.reshape(v.shape[:-1] + (hi - lo,))
+    return out
+
+
+def rotate_everything_mbtc(updates, c, q, seed: int, rotation_seed: int, segment_len: int):
+    """The mbtc estimate by the long road: rotate the whole mean-removed
+    stack, add device m's N(0, q_m) noise from seed_stream(seed, "aux-noise",
+    m) (none for a silent device), MMSE-combine with w = (S + Q)^-1 S c over
+    the devices that speak, de-rotate, and add c . means."""
+    updates = np.asarray(updates, dtype=float)
+    c, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
+    means = updates.mean(axis=1)
+    g = updates - means[:, None]
+    sigma = g @ g.T / g.shape[1]
+    x = rotation_reference(g, rotation_seed, segment_len)
+    speak = np.flatnonzero(np.isfinite(q))
+    w = np.zeros(len(q))
+    w[speak] = np.linalg.solve(sigma[np.ix_(speak, speak)] + np.diag(q[speak]), (sigma @ c)[speak])
+    u = np.zeros_like(x)
+    for m in speak:
+        rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
+        u[m] = x[m] + np.sqrt(q[m]) * rng.standard_normal(x.shape[1])
+    return rotation_reference(w @ u, rotation_seed, segment_len, inverse=True) + c @ means
+
+
 def theta_decimal(rho, sigma2, M: int, q, s: int, digits: int = 50) -> float:
     """One-group theta(q, s) in bits from ``digits``-digit decimal arithmetic
     on the exact values of the float inputs."""

@@ -1,5 +1,6 @@
 """Tests for the grouped symmetric-rate optimizer."""
 
+import logging
 import warnings
 from itertools import product
 
@@ -328,6 +329,16 @@ class TestWholeGroupRows:
         optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
         assert set(rows) == {7}
         assert sum(rows) <= 100
+
+    def test_logs_one_solve_over_every_whole_group_row(self, caplog):
+        # The benchmark's 3 x 20 model: its 7 rows are at most 4 * dim = 12,
+        # so each surrogate is solved once over all of them, with no re-solve.
+        groups = ((20, 1.0), (20, 2.0), (20, 3.0))
+        with caplog.at_level(logging.DEBUG, logger="fedagg.mm_general"):
+            optimize_symmetric(SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=groups), 1 / 60)
+        records = [r.getMessage() for r in caplog.records if r.name == "fedagg.mm_general"]
+        assert records
+        assert set(records) == {"working set: 7 of 7 rows, 1 restricted solves, 0 rows added"}
 
     def test_group_count_cap(self, monkeypatch):
         # 2^21 - 1 whole-group rows exceed MAX_SELECTIONS: rejected before any work.
