@@ -28,7 +28,13 @@ from .model import (
 )
 from .region import _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
-from .transform import DeviceUpdateBatch, haar_derotate, haar_rotate, inverse_transform
+from .transform import (
+    DeviceUpdateBatch,
+    haar_derotate,
+    haar_rotate,
+    inverse_transform,
+    row_blocks,
+)
 
 SCALAR_BITS = 64  # one float64 side-channel scalar (norm or scale)
 
@@ -168,25 +174,28 @@ def _quantize_rotated(x, bits_per_element: int):
     """Uniform quantizer body over already rotated rows, with one scale
     (the row's standard deviation) per row. The step is Gaussian MSE-optimal
     up to 6 bits and spans [-4 sigma, 4 sigma] from 7 bits on; a row of scale
-    0 quantizes to zeros. Works in place on x, a buffer the caller owns."""
+    0 quantizes to zeros. Works in place on x, a buffer the caller owns, one
+    block of rows (``row_blocks``) at a time."""
     b = bits_per_element
     if b < 1:
         raise ValueError(f"bits_per_element must be >= 1, got {b}")
-    scale = np.std(x, axis=-1, keepdims=True)
-    silent = scale == 0.0
     levels = 2**b
-    step = np.where(silent, 1.0, scale) * (
-        GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels
-    )
-    lo = -0.5 * levels * step
-    x -= lo
-    x /= step
-    np.floor(x, out=x)
-    np.clip(x, 0, levels - 1, out=x)
-    x += 0.5
-    x *= step
-    x += lo
-    np.copyto(x, 0.0, where=silent)
+    unit_step = GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels
+    rows = np.atleast_2d(x)
+    for block in row_blocks(*rows.shape):
+        xb = rows[block]
+        scale = np.std(xb, axis=-1, keepdims=True)
+        silent = scale == 0.0
+        step = np.where(silent, 1.0, scale) * unit_step
+        lo = -0.5 * levels * step
+        xb -= lo
+        xb /= step
+        np.floor(xb, out=xb)
+        np.clip(xb, 0, levels - 1, out=xb)
+        xb += 0.5
+        xb *= step
+        xb += lo
+        np.copyto(xb, 0.0, where=silent)
     return x
 
 
@@ -198,16 +207,23 @@ def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
 
 
 def baseline_aggregate(quantized, c):
-    """Weighted sum of separately quantized device vectors."""
-    vecs = [np.asarray(q, dtype=float) for q in quantized]
+    """Weighted sum of separately quantized device vectors. Each vector is
+    added as the iterable yields it, from 0 and in order as ``sum`` adds, so
+    a generator of quantized rows is never held whole."""
     c = np.asarray(c, dtype=float)
-    n = vecs[0].shape[0]
-    for v in vecs:
-        if v.shape != (n,):
+    total, count = None, 0
+    for count, v in enumerate(quantized, 1):
+        v = np.asarray(v, dtype=float)
+        if total is None:
+            total = np.zeros(v.shape[0])
+        if v.shape != total.shape:
             raise ValueError("all quantized vectors must share one length")
-    if c.shape[0] != len(vecs):
-        raise ValueError(f"{len(vecs)} vectors but {c.shape[0]} weights")
-    return sum(w * v for w, v in zip(c, vecs))
+        if count > c.shape[0]:
+            raise ValueError(f"more than {c.shape[0]} vectors for {c.shape[0]} weights")
+        total += c[count - 1] * v
+    if total is None or count != c.shape[0]:
+        raise ValueError(f"{count} vectors but {c.shape[0]} weights")
+    return total
 
 
 def qsgd_levels_for_rate(rate_bits: float) -> int:
@@ -217,11 +233,19 @@ def qsgd_levels_for_rate(rate_bits: float) -> int:
 
 
 def _per_device(quantize):
-    """Aggregator over a quantizer (v, m, seed) -> (v_hat, charged bits) of device m."""
+    """Aggregator over a quantizer (v, m, seed) -> (v_hat, charged bits) of
+    device m. Each quantized row is summed into the estimate as it is made."""
 
     def aggregate(vectors, c, seed):
-        quantized, charges = zip(*(quantize(v, m, seed) for m, v in enumerate(vectors)))
-        return baseline_aggregate(quantized, c), np.array(charges)
+        charges = []
+
+        def quantized():
+            for m, v in enumerate(vectors):
+                v_hat, bits = quantize(v, m, seed)
+                charges.append(bits)
+                yield v_hat
+
+        return baseline_aggregate(quantized(), c), np.array(charges)
 
     return aggregate
 

@@ -8,6 +8,7 @@ seed carried with the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +17,16 @@ import numpy as np
 from .seeds import seed_stream
 
 DEFAULT_SEGMENT_LEN = 1024
+# Passes over a stack of rows walk it in blocks of whole rows, about this many
+# elements each, so their temporaries scale with a block, not with the stack.
+BLOCK_ELEMENTS = 2**17
+
+
+def row_blocks(rows: int, n: int):
+    """Slices of whole rows, max(1, BLOCK_ELEMENTS // n) rows each, covering
+    range(rows) in order."""
+    step = max(1, BLOCK_ELEMENTS // max(n, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def haar_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -39,10 +50,11 @@ def _hartley(x: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
-    # Accepts a vector or row-stacked vectors. All full segments of all rows
-    # go through one batched transform; the short tail takes one more call.
-    # Both Hartley passes and the sign flips run inside the output buffer,
-    # with one complex scratch array per segment length.
+    # Accepts a vector or row-stacked vectors, taken in row blocks. All full
+    # segments of a block's rows go through one batched transform; the short
+    # tail takes one more call. Both Hartley passes and the sign flips run
+    # inside the output buffer, with one complex scratch array per segment
+    # length, sized for one block.
     if segment_len < 1:
         raise ValueError(f"segment_len must be >= 1, got {segment_len}")
     v = np.asarray(v, dtype=float)
@@ -51,18 +63,23 @@ def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
     d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
     full = n - n % segment_len
     out = np.empty(v.shape)
+    stacked = (math.prod(v.shape[:-1]), n)
+    rows, out_rows = v.reshape(stacked), out.reshape(stacked)
+    blocks = row_blocks(stacked[0], n)
     for lo, hi, seg in ((0, full, segment_len), (full, n, n - full)):
-        if lo < hi:
-            shape = v.shape[:-1] + ((hi - lo) // seg, seg)
-            # A reshape of a column range of the C-ordered out is a view.
-            x, y = v[..., lo:hi].reshape(shape), out[..., lo:hi].reshape(shape)
+        if lo < hi and blocks:
             s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
-            f = np.empty(shape[:-1] + (seg // 2 + 1,), dtype=complex)
-            _hartley(x if inverse else np.multiply(s1, x, out=y), y, f)
-            y *= s2
-            _hartley(y, y, f)
-            if inverse:
-                y *= s1
+            scratch = np.empty((blocks[0].stop, (hi - lo) // seg, seg // 2 + 1), dtype=complex)
+            for block in blocks:
+                shape = (block.stop - block.start, (hi - lo) // seg, seg)
+                # A reshape of a column range of the C-ordered out is a view.
+                x, y = rows[block, lo:hi].reshape(shape), out_rows[block, lo:hi].reshape(shape)
+                f = scratch[: shape[0]]
+                _hartley(x if inverse else np.multiply(s1, x, out=y), y, f)
+                y *= s2
+                _hartley(y, y, f)
+                if inverse:
+                    y *= s1
     return out
 
 

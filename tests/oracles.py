@@ -418,6 +418,26 @@ def allocating_segments(v, seed: int, segment_len: int, inverse: bool = False) -
     return out
 
 
+def stacked_quantize_rotated(x, bits: int, unit_step: float) -> np.ndarray:
+    """The uniform quantizer body as the library computed it before it took
+    the stack in row blocks: one np.std over the whole stack, then the same
+    in-place passes over every row. Works in place on x and returns it."""
+    scale = np.std(x, axis=-1, keepdims=True)
+    silent = scale == 0.0
+    levels = 2**bits
+    step = np.where(silent, 1.0, scale) * unit_step
+    lo = -0.5 * levels * step
+    x -= lo
+    x /= step
+    np.floor(x, out=x)
+    np.clip(x, 0, levels - 1, out=x)
+    x += 0.5
+    x *= step
+    x += lo
+    np.copyto(x, 0.0, where=silent)
+    return x
+
+
 def rotate_everything_mbtc(updates, c, q, seed: int, rotation_seed: int, segment_len: int):
     """The mbtc estimate by the long road: rotate the whole mean-removed
     stack, add device m's N(0, q_m) noise from seed_stream(seed, "aux-noise",

@@ -37,7 +37,7 @@ from fedagg.simulate import (
     uniform_aggregator,
 )
 from fedagg.transform import DeviceUpdateBatch, haar_derotate, haar_rotate
-from oracles import rotate_everything_mbtc
+from oracles import rotate_everything_mbtc, stacked_quantize_rotated
 
 
 class TestSyntheticSources:
@@ -174,6 +174,16 @@ class TestBaselineAggregate:
         with pytest.raises(ValueError):
             baseline_aggregate([np.ones(3)], [0.5, 0.5])
 
+    def test_shape_errors_through_a_streaming_aggregator(self):
+        # The QSGD aggregator sums each row as it is quantized; it still
+        # rejects rows of unequal length and a weight count off the row count.
+        qsgd = qsgd_aggregator(3)
+        with pytest.raises(ValueError, match="share one length"):
+            qsgd([np.ones(3), np.ones(4)], [0.5, 0.5], 1)
+        for m, weights in ((3, [0.5, 0.5]), (2, [0.2, 0.3, 0.5])):
+            with pytest.raises(ValueError, match="weights"):
+                qsgd(np.ones((m, 4)), weights, 1)
+
 
 def uniform_rows(vectors, bits, rotation):
     """Each device rotated alone and quantized by the documented step rule:
@@ -192,6 +202,21 @@ def uniform_rows(vectors, bits, rotation):
         idx = np.clip(np.floor((x - lo) / step), 0, levels - 1)
         rows.append(lo + (idx + 0.5) * step)
     return np.vstack(rows)
+
+
+class TestQuantizeRotatedBlocks:
+    @pytest.mark.parametrize("shape", [(10, 2**17), (3, 2**17 + 77), (2100, 64), (777,)])
+    @pytest.mark.parametrize("bits", [2, 7])
+    def test_equals_one_stacked_pass(self, shape, bits):
+        # Row blocks change no bit: each row's std does not depend on the
+        # rows reduced with it. Row 0 of a stack is silent.
+        x = haar_rotate(np.random.default_rng(shape[-1]).standard_normal(shape), 23)
+        if x.ndim == 2:
+            x[0] = 0.0
+        unit_step = GAUSSIAN_STEP[bits - 1] if bits <= len(GAUSSIAN_STEP) else 8.0 / 2**bits
+        expected = stacked_quantize_rotated(x.copy(), bits, unit_step)
+        assert np.array_equal(_quantize_rotated(x, bits), expected)
+        assert x.ndim == 1 or not x[0].any()
 
 
 class TestAggregatorSeedRule:
@@ -362,10 +387,15 @@ class TestSweep:
 
 class TestPeakMemory:
     """Peak bytes that one call allocates, in units of the (10, 2^17) float64
-    device stack it is given; tracemalloc sees numpy's array buffers. A
-    rotation holds its output and one complex scratch array, the mbtc
-    aggregator its mean-removed rows, and the uniform aggregator one
-    rotated copy that it quantizes in place."""
+    device stack it is given; tracemalloc sees numpy's array buffers. Each
+    pass over the stack takes it in row blocks (here one row each), so its
+    temporaries cost a block, not a stack. A rotation holds its output, the
+    +-1 diagonals and one block's complex scratch (1.32); the mbtc
+    aggregator its mean-removed rows (1.62); the uniform aggregator one
+    rotated copy that it quantizes in place (1.52); the QSGD aggregator a
+    few rows of one device's quantizer, each row summed as it is made
+    (0.61). A sweep row, whose sources are counted, holds at most the
+    sources plus the largest of these (2.72)."""
 
     M, N = 10, 2**17
 
@@ -376,11 +406,13 @@ class TestPeakMemory:
     @pytest.mark.parametrize(
         "call, bound",
         [
-            (lambda x: haar_rotate(x, 7), 2.5),
+            (lambda x: haar_rotate(x, 7), 1.6),
             (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 2.0),
-            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 2.5),
+            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 1.7),
+            (lambda x: qsgd_aggregator(3)(x, np.full(10, 0.1), 7), 0.8),
+            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 2.9),
         ],
-        ids=["haar_rotate", "mbtc_aggregator", "uniform_aggregator"],
+        ids=["haar_rotate", "mbtc_aggregator", "uniform_aggregator", "qsgd_aggregator", "sweep_row"],
     )
     def test_peak_in_device_stacks(self, stack, call, bound):
         tracemalloc.start()

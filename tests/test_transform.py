@@ -1,6 +1,7 @@
 """Tests for segment rotation, the inverse transform, and device update batches."""
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,13 +149,39 @@ class TestRotationProperties:
         assert np.abs(E @ E.T - np.eye(n)).max() < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(10, 2**17), (2**17,), (2, 3000), (777,)])
+@pytest.mark.parametrize(
+    "shape", [(10, 2**17), (2**17,), (2, 3000), (777,), (3, 2**17 + 77), (2100, 64)]
+)
 def test_in_place_passes_equal_allocating_passes(shape):
     # The in-place rotation runs the same operations in the same order as
     # the allocating one, so it rounds the same way, tail segments included.
+    # It takes the rows in blocks and the oracle takes the whole stack at
+    # once; each row's FFT does not depend on the rows batched with it.
     v = np.random.default_rng(shape[-1]).standard_normal(shape)
     assert np.array_equal(haar_rotate(v, 19, 1024), allocating_segments(v, 19, 1024))
     assert np.array_equal(haar_derotate(v, 19, 1024), allocating_segments(v, 19, 1024, inverse=True))
+
+
+class TestRowBlocks:
+    def test_blocks_hold_whole_rows(self):
+        assert transform.row_blocks(10, 2**17) == [slice(m, m + 1) for m in range(10)]
+        assert transform.row_blocks(3, 2**17 + 77) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        # 2^17 // 64 = 2048 rows a block: the (2100, 64) stack above crosses one boundary.
+        assert transform.row_blocks(2100, 64) == [slice(0, 2048), slice(2048, 2100)]
+        assert transform.row_blocks(8, 64) == [slice(0, 8)]
+        assert transform.row_blocks(0, 64) == []
+
+    @pytest.mark.parametrize("shape, calls", [((8, 64), 2), ((10, 2**17), 20)])
+    def test_one_rfft_per_hartley_pass_and_block(self, shape, calls):
+        # Short rows share one block; each 2^17-long row is a block of its own.
+        v = np.random.default_rng(3).standard_normal(shape)
+        with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+            haar_rotate(v, 5)
+        assert rfft.call_count == calls
+
+    def test_empty_stacks(self):
+        assert haar_rotate(np.empty((0, 64)), 5).shape == (0, 64)
+        assert haar_derotate(np.empty((3, 0)), 5).shape == (3, 0)
 
 
 def test_rotation_builds_no_dense_matrix(monkeypatch):
