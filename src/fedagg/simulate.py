@@ -6,9 +6,9 @@ Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
 the public rotation seed_stream(s, "rotation") among all devices, and device m
 draws its dither from seed_stream(s, "dev", m).
 
-Rates are charged honestly: baselines from their actual emitted symbol
-widths, the surrogate analytically from the mutual-information values at the
-optimized parameters (labeled "surrogate" in outputs).
+Baselines are charged their emitted symbol widths; mbtc the singleton rates
+I(x_m; u_m | u_{-m}) at the optimized q under the empirical covariance, which
+can sum below I(x; u), so they are not an achievable vector (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mm_general, mm_symmetric
+from . import mm_symmetric
 from .model import (
     GaussianSourceModel,
     MbtcParams,
@@ -32,7 +32,6 @@ from .transform import (
     DeviceUpdateBatch,
     haar_derotate,
     haar_rotate,
-    inverse_transform,
     row_blocks,
 )
 
@@ -78,14 +77,12 @@ def mbtc_noise_surrogate(n: int, model: GaussianSourceModel, q_star, seed: int):
 
 @dataclass(frozen=True)
 class AggregationResult:
-    """One aggregation run: estimate, target, measured distortion, charged rates."""
+    """One mbtc aggregation: estimate, charged rates and the optimized q."""
 
     estimate: np.ndarray
-    target: np.ndarray
-    empirical_distortion: float
-    rate_report: np.ndarray  # bits/symbol actually charged per device
-    predicted_distortion: float = float("nan")
-    q: MbtcParams = None
+    rate_report: np.ndarray  # bits/symbol charged per device
+    predicted_distortion: float
+    q: MbtcParams
 
 
 def _fit_symmetric(sigma: np.ndarray, budget: RateBudget):
@@ -107,37 +104,25 @@ def _fit_symmetric(sigma: np.ndarray, budget: RateBudget):
 
 
 def mbtc_aggregate(
-    batch: DeviceUpdateBatch,
-    c,
-    budget: RateBudget,
-    optimizer_choice: str = "general",
-    seed: int = 0,
+    batch: DeviceUpdateBatch, c, budget: RateBudget, seed: int = 0
 ) -> AggregationResult:
-    """Full pipeline: estimate statistics, optimize, add auxiliary noise,
-    combine, inverse-transform. All devices share the public rotation R, so
-    R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z), and no device is rotated."""
+    """Estimate statistics, fit the grouped model and optimize q on it, add
+    auxiliary noise, combine. All devices share the public rotation R, so
+    R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z): only the noise is de-rotated."""
     c = np.asarray(c, dtype=float)
     model = GaussianSourceModel(sigma_x=empirical_covariance(batch.mean_removed), c=c)
-    if not batch.mean_removed.any():
+    if batch.mean_removed.any():
+        sym, group = _fit_symmetric(model.sigma_x, budget)
+        q = MbtcParams(mm_symmetric.optimize_symmetric(sym, float(np.mean(c))).q_groups[group])
+    else:
         # No device varies: every device stays silent and the means carry c @ updates.
         q = MbtcParams(np.full(batch.M, np.inf))
-    elif optimizer_choice == "general":
-        q = mm_general.optimize(model, budget).q
-    elif optimizer_choice == "symmetric":
-        sym, group = _fit_symmetric(model.sigma_x, budget)
-        res = mm_symmetric.optimize_symmetric(sym, float(np.mean(c)))
-        q = MbtcParams(res.q_groups[group])
-    else:
-        raise ValueError(f"unknown optimizer {optimizer_choice!r}")
     noise = mbtc_noise_surrogate(batch.N, model, q, seed)
-    estimate = mmse_combiner(model, q) @ batch.mean_removed + inverse_transform(
-        noise, batch.means, c, batch.rotation_seed, batch.segment_len
-    )
-    target = c @ batch.updates
+    # w @ x is formed after the rotation's scratch is freed; + commutes bitwise.
+    estimate = haar_derotate(noise, batch.rotation_seed, batch.segment_len) + float(c @ batch.means)
+    estimate += mmse_combiner(model, q) @ batch.mean_removed
     return AggregationResult(
         estimate=estimate,
-        target=target,
-        empirical_distortion=measure_distortion(target, estimate),
         rate_report=_required_bits(model, q, np.eye(batch.M, dtype=bool)),
         predicted_distortion=distortion(model, q),
         q=q,
@@ -277,11 +262,11 @@ def uniform_aggregator(bits_per_element: int):
 
 
 def mbtc_aggregator(budget: RateBudget):
-    """The mbtc pipeline with the grouped optimizer, charged its singleton rates."""
+    """The mbtc pipeline, charged its singleton rates."""
 
     def aggregate(vectors, c, seed):
         batch = DeviceUpdateBatch(updates=vectors, rotation_seed=seed_stream(seed, "rotation"))
-        res = mbtc_aggregate(batch, c, budget, optimizer_choice="symmetric", seed=seed)
+        res = mbtc_aggregate(batch, c, budget, seed=seed)
         return res.estimate, res.rate_report
 
     return aggregate

@@ -1,5 +1,5 @@
-"""Data pre/post-processing: segmented random rotation, inverse transform, and
-the update-batch container, which also removes the means.
+"""Data pre/post-processing: segmented random rotation and the update-batch
+container, which also removes the means.
 
 Segments are rotated by a randomized Hartley transform (one real FFT per
 Hartley pass, no stored matrix); the shared randomness is modeled by a 64-bit
@@ -96,16 +96,6 @@ def haar_rotate(g_tilde, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
 def haar_derotate(x, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
     """Inverse (x -> D1 H D2 H x per block) of haar_rotate with the same seed."""
     return _apply_segments(x, seed, segment_len, inverse=True)
-
-
-def inverse_transform(x_hat, means, c, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
-    """Undo the rotation and add back the aggregated means."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    means = np.asarray(means, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if means.shape != c.shape:
-        raise ValueError(f"means shape {means.shape} != c shape {c.shape}")
-    return haar_derotate(x_hat, seed, segment_len) + float(c @ means)
 
 
 @dataclass(frozen=True)

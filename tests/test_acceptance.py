@@ -32,7 +32,12 @@ from fedagg.flharness import (
 )
 from fedagg.region import cond_mutual_info, sum_mutual_info
 from fedagg.seeds import seed_stream
-from fedagg.simulate import mbtc_aggregate, sweep_distortion, synthetic_sources
+from fedagg.simulate import (
+    mbtc_aggregate,
+    measure_distortion,
+    sweep_distortion,
+    synthetic_sources,
+)
 from fedagg.transform import (
     DeviceUpdateBatch,
     haar_derotate,
@@ -188,9 +193,8 @@ def test_criterion_6_simulator_fidelity():
         y = np.stack(synthetic_sources(rho, M, N, seed_stream(SEED, "sources", rho)))
         batch = DeviceUpdateBatch(updates=y, rotation_seed=rot)
         res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)),
-                             optimizer_choice="symmetric",
                              seed=seed_stream(SEED, "run", rho))
-        rel = abs(res.empirical_distortion - res.predicted_distortion)
+        rel = abs(measure_distortion(c @ y, res.estimate) - res.predicted_distortion)
         ok &= rel / res.predicted_distortion < 0.01
     rows = sweep_distortion((0.9,), (1.0, 2.0, 3.0), M, N, SEED,
                             ("mbtc", "qsgd", "uniform"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedagg import mm_general, mm_symmetric
+from fedagg import mm_symmetric
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -263,12 +263,23 @@ class TestMbtcAggregate:
         batch = DeviceUpdateBatch(updates=y, rotation_seed=11)
         budget = RateBudget(np.full(M, 1.5))
         c = np.full(M, 1.0 / M)
-        for choice in ("general", "symmetric"):
-            res = mbtc_aggregate(batch, c, budget, optimizer_choice=choice, seed=8)
-            assert res.empirical_distortion == pytest.approx(
-                res.predicted_distortion, rel=0.05
-            )
-            assert np.all(res.rate_report <= budget.r + 1e-9)
+        res = mbtc_aggregate(batch, c, budget, seed=8)
+        assert measure_distortion(c @ y, res.estimate) == pytest.approx(
+            res.predicted_distortion, rel=0.05
+        )
+        assert np.all(res.rate_report <= budget.r + 1e-9)
+
+    def test_defaults_match_the_aggregator(self):
+        # The aggregator is the pipeline with its default optimizer: the
+        # estimate and the charges agree bit for bit.
+        M, s = 4, 21
+        y = synthetic_sources(0.7, M, 3000, seed=17)
+        c = np.array([0.1, 0.2, 0.3, 0.4])
+        budget = RateBudget(np.full(M, 2.0))
+        res = mbtc_aggregate(DeviceUpdateBatch(y, seed_stream(s, "rotation")), c, budget, seed=s)
+        estimate, charges = mbtc_aggregator(budget)(y, c, s)
+        assert np.array_equal(res.estimate, estimate)
+        assert np.array_equal(res.rate_report, charges)
 
     @pytest.mark.parametrize("M", [1, 3])
     def test_rate_report_is_the_singleton_rates(self, M):
@@ -295,27 +306,31 @@ class TestMbtcAggregate:
         sym, group = _fit_symmetric(empirical_covariance(batch.mean_removed), budget)
         assert sym.groups == ((2, 2.0), (2, 1.0), (1, 3.0))
         assert group.tolist() == [0, 1, 0, 2, 1]
-        q = mbtc_aggregate(batch, np.full(5, 0.2), budget, optimizer_choice="symmetric").q.q
+        q = mbtc_aggregate(batch, np.full(5, 0.2), budget).q.q
         assert q[0] == q[2] and q[1] == q[4]
         assert q[3] < q[0] < q[1]
 
-    @pytest.mark.parametrize("choice", ["general", "symmetric"])
-    def test_constant_updates_keep_every_device_silent(self, choice, monkeypatch):
-        # Zero empirical covariance: no optimizer runs, the means carry c @ updates.
+    @pytest.mark.parametrize(
+        "r",
+        [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]],
+        ids=["general", "symmetric"],
+    )
+    def test_constant_updates_keep_every_device_silent(self, r, monkeypatch):
+        # Zero empirical covariance: no optimizer runs, the means carry c @ updates,
+        # whether every device has its own budget (one group each) or all share one.
         def no_optimizer(*args, **kwargs):
             raise AssertionError("no optimizer may run on a zero covariance")
 
-        monkeypatch.setattr(mm_general, "optimize", no_optimizer)
         monkeypatch.setattr(mm_symmetric, "optimize_symmetric", no_optimizer)
         updates = np.array([[1.5] * 8, [-0.25] * 8, [3.0] * 8])
         c = np.array([0.2, 0.3, 0.5])
         batch = DeviceUpdateBatch(updates=updates, rotation_seed=3, segment_len=4)
-        res = mbtc_aggregate(batch, c, RateBudget(np.full(3, 2.0)), optimizer_choice=choice)
+        res = mbtc_aggregate(batch, c, RateBudget(np.array(r)))
         assert np.all(np.isposinf(res.q.q))
         assert np.array_equal(res.rate_report, np.zeros(3))
         assert res.predicted_distortion == 0.0
         assert np.abs(res.estimate - c @ updates).max() < 1e-15
-        assert res.empirical_distortion < 1e-30
+        assert measure_distortion(c @ updates, res.estimate) < 1e-30
 
     @settings(max_examples=60)
     @given(
@@ -329,26 +344,20 @@ class TestMbtcAggregate:
     def test_matches_rotate_everything_pipeline(self, M, segment_len, blocks, tail, q, seed):
         # Only the combined noise is de-rotated; rotating every device first,
         # as the decoder sees them, gives the same estimate up to rounding.
-        # The optimizer is replaced by the drawn q, silent devices included.
+        # The optimizer is replaced by the drawn q, silent devices included;
+        # each device has its own budget, so each is one group.
         n = blocks * segment_len + 1 + int(tail * (segment_len - 1))
         rng = np.random.default_rng(seed)
         updates = rng.standard_normal((M, n)) * rng.uniform(0.1, 3.0, (M, 1)) + rng.normal(0, 2, (M, 1))
         c = rng.uniform(0.1, 1.0, M)
         q = MbtcParams(q[:M])
         batch = DeviceUpdateBatch(updates=updates, rotation_seed=seed + 1, segment_len=segment_len)
-        drawn = SimpleNamespace(q=q)
-        with mock.patch.object(mm_general, "optimize", lambda model, budget: drawn):
-            res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)), seed=seed)
-        assert res.q is q
+        drawn = SimpleNamespace(q_groups=q.q)
+        with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn):
+            res = mbtc_aggregate(batch, c, RateBudget(np.arange(1.0, M + 1)), seed=seed)
+        assert np.array_equal(res.q.q, q.q)
         expect = rotate_everything_mbtc(updates, c, q.q, seed, seed + 1, segment_len)
         assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(res.estimate).max())
-
-    def test_rejects_unknown_optimizer(self):
-        y = np.stack(synthetic_sources(0.5, 2, 64, seed=0))
-        batch = DeviceUpdateBatch(updates=y, rotation_seed=0, segment_len=64)
-        with pytest.raises(ValueError):
-            mbtc_aggregate(batch, [0.5, 0.5], RateBudget([1.0, 1.0]),
-                           optimizer_choice="nope")
 
 
 class TestSweep:
@@ -391,7 +400,7 @@ class TestPeakMemory:
     pass over the stack takes it in row blocks (here one row each), so its
     temporaries cost a block, not a stack. A rotation holds its output, the
     +-1 diagonals and one block's complex scratch (1.32); the mbtc
-    aggregator its mean-removed rows (1.62); the uniform aggregator one
+    aggregator its mean-removed rows (1.53); the uniform aggregator one
     rotated copy that it quantizes in place (1.52); the QSGD aggregator a
     few rows of one device's quantizer, each row summed as it is made
     (0.61). A sweep row, whose sources are counted, holds at most the
@@ -407,7 +416,7 @@ class TestPeakMemory:
         "call, bound",
         [
             (lambda x: haar_rotate(x, 7), 1.6),
-            (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 2.0),
+            (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 1.6),
             (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 1.7),
             (lambda x: qsgd_aggregator(3)(x, np.full(10, 0.1), 7), 0.8),
             (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 2.9),
