@@ -7,9 +7,10 @@ g(x) + s = 0 (Nocedal & Wright, Numerical Optimization, ch. 19), from
 s = max(-g(x0), 1e-3) and lambda = mu0 / s, mu0 fitting f + J'lambda = 0:
 slacks that start near zero would shrink out of step with the dual residual.
 Each iteration takes R from one QR of [sqrt(lambda / s) J; sqrt(H)], H
-diagonal, and solves R'R dx = rhs by two triangular solves, for the predictor
-and the corrector (centering (mu_aff / mu)^3). The floor rows give the stack
-full column rank. R'R = H + J' diag(lambda / s) J, which is never formed: the
+diagonal, and solves R'R dx = rhs with two general (pivoted LU) solves, on R'
+and then on R, for the predictor and the corrector (centering
+(mu_aff / mu)^3). The floor rows give the stack full column rank.
+R'R = H + J' diag(lambda / s) J, which is never formed: the
 formed sum loses H once a few active rows outweigh the rest by about 1e16.
 Steps are 0.95 of the longest that keeps s and lambda positive.
 

@@ -176,10 +176,6 @@ class RateBudget:
             raise ValueError("all rates must be strictly positive and finite")
         object.__setattr__(self, "r", _readonly(r))
 
-    @property
-    def M(self) -> int:
-        return self.r.shape[0]
-
 
 @dataclass(frozen=True)
 class MbtcParams:
@@ -195,10 +191,6 @@ class MbtcParams:
         if np.any(np.isnan(q)) or np.any(q < Q_MIN):
             raise ValueError(f"all q entries must be >= {Q_MIN} (or +inf)")
         object.__setattr__(self, "q", _readonly(q))
-
-    @property
-    def M(self) -> int:
-        return self.q.shape[0]
 
 
 def empirical_covariance(updates) -> np.ndarray:

@@ -107,8 +107,9 @@ def mbtc_aggregate(
     batch: DeviceUpdateBatch, c, budget: RateBudget, seed: int = 0
 ) -> AggregationResult:
     """Estimate statistics, fit the grouped model and optimize q on it, add
-    auxiliary noise, combine. All devices share the public rotation R, so
-    R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z): only the noise is de-rotated."""
+    auxiliary noise, combine. All devices share the public rotation R of
+    seed_stream(seed, "rotation"), so R^-1 (w @ (R x + z)) = w @ x +
+    R^-1 (w @ z): only the noise is de-rotated."""
     c = np.asarray(c, dtype=float)
     model = GaussianSourceModel(sigma_x=empirical_covariance(batch.mean_removed), c=c)
     if batch.mean_removed.any():
@@ -119,7 +120,7 @@ def mbtc_aggregate(
         q = MbtcParams(np.full(batch.M, np.inf))
     noise = mbtc_noise_surrogate(batch.N, model, q, seed)
     # w @ x is formed after the rotation's scratch is freed; + commutes bitwise.
-    estimate = haar_derotate(noise, batch.rotation_seed, batch.segment_len) + float(c @ batch.means)
+    estimate = haar_derotate(noise, seed_stream(seed, "rotation")) + float(c @ batch.means)
     estimate += mmse_combiner(model, q) @ batch.mean_removed
     return AggregationResult(
         estimate=estimate,
@@ -265,8 +266,7 @@ def mbtc_aggregator(budget: RateBudget):
     """The mbtc pipeline, charged its singleton rates."""
 
     def aggregate(vectors, c, seed):
-        batch = DeviceUpdateBatch(updates=vectors, rotation_seed=seed_stream(seed, "rotation"))
-        res = mbtc_aggregate(batch, c, budget, seed=seed)
+        res = mbtc_aggregate(DeviceUpdateBatch(vectors), c, budget, seed=seed)
         return res.estimate, res.rate_report
 
     return aggregate

@@ -1,9 +1,10 @@
 """Data pre/post-processing: segmented random rotation and the update-batch
 container, which also removes the means.
 
-Segments are rotated by a randomized Hartley transform (one real FFT per
-Hartley pass, no stored matrix); the shared randomness is modeled by a 64-bit
-seed carried with the batch.
+Segments of DEFAULT_SEGMENT_LEN coordinates (the tail shorter) are rotated by
+a randomized Hartley transform (one real FFT per Hartley pass, no stored
+matrix); the shared randomness is a 64-bit seed that the caller passes, in the
+pipeline seed_stream(s, "rotation") of the call seed s.
 """
 
 from __future__ import annotations
@@ -49,24 +50,22 @@ def _hartley(x: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
+def _apply_segments(v, seed: int, inverse: bool):
     # Accepts a vector or row-stacked vectors, taken in row blocks. All full
     # segments of a block's rows go through one batched transform; the short
     # tail takes one more call. Both Hartley passes and the sign flips run
     # inside the output buffer, with one complex scratch array per segment
     # length, sized for one block.
-    if segment_len < 1:
-        raise ValueError(f"segment_len must be >= 1, got {segment_len}")
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
     d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
-    full = n - n % segment_len
+    full = n - n % DEFAULT_SEGMENT_LEN
     out = np.empty(v.shape)
     stacked = (math.prod(v.shape[:-1]), n)
     rows, out_rows = v.reshape(stacked), out.reshape(stacked)
     blocks = row_blocks(stacked[0], n)
-    for lo, hi, seg in ((0, full, segment_len), (full, n, n - full)):
+    for lo, hi, seg in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)):
         if lo < hi and blocks:
             s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
             scratch = np.empty((blocks[0].stop, (hi - lo) // seg, seg // 2 + 1), dtype=complex)
@@ -83,35 +82,31 @@ def _apply_segments(v, seed: int, segment_len: int, inverse: bool):
     return out
 
 
-def haar_rotate(g_tilde, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
-    """Rotate each length-segment_len block as x -> H D2 H D1 x.
+def haar_rotate(g_tilde, seed: int):
+    """Rotate each length-DEFAULT_SEGMENT_LEN block as x -> H D2 H D1 x.
 
     D1, D2: seeded random +-1 diagonals; H: orthonormal discrete Hartley transform.
     Orthogonal and Gaussianizing like a Haar rotation, with no stored matrix.
     Takes one vector or an (M, N) stack; the short tail block takes the same map.
     """
-    return _apply_segments(g_tilde, seed, segment_len, inverse=False)
+    return _apply_segments(g_tilde, seed, inverse=False)
 
 
-def haar_derotate(x, seed: int, segment_len: int = DEFAULT_SEGMENT_LEN):
+def haar_derotate(x, seed: int):
     """Inverse (x -> D1 H D2 H x per block) of haar_rotate with the same seed."""
-    return _apply_segments(x, seed, segment_len, inverse=True)
+    return _apply_segments(x, seed, inverse=True)
 
 
 @dataclass(frozen=True)
 class DeviceUpdateBatch:
-    """Raw local updates (an (M, N) float array is held without a copy) plus
-    the shared rotation seed and segmentation."""
+    """Raw local updates (an (M, N) float array is held without a copy), with
+    their per-device means and mean-removed rows. The rotation is not carried:
+    it follows the seed of the call that aggregates the batch."""
 
     updates: np.ndarray  # (M, N)
-    rotation_seed: int
-    segment_len: int = DEFAULT_SEGMENT_LEN
 
     def __post_init__(self):
-        u = np.atleast_2d(np.asarray(self.updates, dtype=float))
-        if self.segment_len < 1:
-            raise ValueError("segment_len must be positive")
-        object.__setattr__(self, "updates", u)
+        object.__setattr__(self, "updates", np.atleast_2d(np.asarray(self.updates, dtype=float)))
 
     @property
     def M(self) -> int:

@@ -19,6 +19,7 @@ import numpy as np
 from fedagg.barrier import interior_start, minimize_linear
 from fedagg.model import Q_MIN, empirical_covariance
 from fedagg.seeds import seed_stream
+from fedagg.transform import DEFAULT_SEGMENT_LEN
 
 LOG2E = 1.0 / np.log(2.0)
 
@@ -371,17 +372,18 @@ def hartley_reference(x) -> np.ndarray:
     return f.real - f.imag
 
 
-def rotation_reference(v, seed: int, segment_len: int, inverse: bool = False) -> np.ndarray:
+def rotation_reference(v, seed: int, inverse: bool = False) -> np.ndarray:
     """Segment-by-segment x -> H D2 H D1 x (inverse: D1 H D2 H x) on
-    ``hartley_reference``, with the +-1 diagonals of the library's seed rule."""
+    ``hartley_reference``, over the library's segments and with the +-1
+    diagonals of its seed rule."""
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
     d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
     h = hartley_reference
     out = np.empty_like(v)
-    for lo in range(0, n, segment_len):
-        s = slice(lo, lo + segment_len)
+    for lo in range(0, n, DEFAULT_SEGMENT_LEN):
+        s = slice(lo, lo + DEFAULT_SEGMENT_LEN)
         if inverse:
             out[..., s] = d1[s] * h(d2[s] * h(v[..., s]))
         else:
@@ -389,7 +391,7 @@ def rotation_reference(v, seed: int, segment_len: int, inverse: bool = False) ->
     return out
 
 
-def allocating_segments(v, seed: int, segment_len: int, inverse: bool = False) -> np.ndarray:
+def allocating_segments(v, seed: int, inverse: bool = False) -> np.ndarray:
     """The rotation as the library computed it before it ran in its output
     buffer: each Hartley pass and sign flip returns a new array. The same
     operations in the same order, so the in-place map must equal it bit for bit."""
@@ -407,9 +409,9 @@ def allocating_segments(v, seed: int, segment_len: int, inverse: bool = False) -
     n = v.shape[-1]
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
     d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
-    full = n - n % segment_len
+    full = n - n % DEFAULT_SEGMENT_LEN
     out = np.empty_like(v)
-    for lo, hi, seg in ((0, full, segment_len), (full, n, n - full)):
+    for lo, hi, seg in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)):
         if lo < hi:
             x = v[..., lo:hi].reshape(v.shape[:-1] + ((hi - lo) // seg, seg))
             s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
@@ -438,17 +440,19 @@ def stacked_quantize_rotated(x, bits: int, unit_step: float) -> np.ndarray:
     return x
 
 
-def rotate_everything_mbtc(updates, c, q, seed: int, rotation_seed: int, segment_len: int):
+def rotate_everything_mbtc(updates, c, q, seed: int):
     """The mbtc estimate by the long road: rotate the whole mean-removed
-    stack, add device m's N(0, q_m) noise from seed_stream(seed, "aux-noise",
-    m) (none for a silent device), MMSE-combine with w = (S + Q)^-1 S c over
-    the devices that speak, de-rotate, and add c . means."""
+    stack by the rotation of seed_stream(seed, "rotation"), add device m's
+    N(0, q_m) noise from seed_stream(seed, "aux-noise", m) (none for a silent
+    device), MMSE-combine with w = (S + Q)^-1 S c over the devices that
+    speak, de-rotate, and add c . means."""
     updates = np.asarray(updates, dtype=float)
     c, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
     means = updates.mean(axis=1)
     g = updates - means[:, None]
     sigma = g @ g.T / g.shape[1]
-    x = rotation_reference(g, rotation_seed, segment_len)
+    rotation = seed_stream(seed, "rotation")
+    x = rotation_reference(g, rotation)
     speak = np.flatnonzero(np.isfinite(q))
     w = np.zeros(len(q))
     w[speak] = np.linalg.solve(sigma[np.ix_(speak, speak)] + np.diag(q[speak]), (sigma @ c)[speak])
@@ -456,7 +460,7 @@ def rotate_everything_mbtc(updates, c, q, seed: int, rotation_seed: int, segment
     for m in speak:
         rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
         u[m] = x[m] + np.sqrt(q[m]) * rng.standard_normal(x.shape[1])
-    return rotation_reference(w @ u, rotation_seed, segment_len, inverse=True) + c @ means
+    return rotation_reference(w @ u, rotation, inverse=True) + c @ means
 
 
 def theta_decimal(rho, sigma2, M: int, q, s: int, digits: int = 50) -> float:

@@ -187,11 +187,10 @@ def test_criterion_6_simulator_fidelity():
     t0 = time.monotonic()
     ok = True
     SEED, M, N = 3, 10, 2**17
-    rot = seed_stream(SEED, "rotation")
     c = np.full(M, 1.0 / M)
     for rho in (0.0, 0.5, 0.9, 0.99):
         y = np.stack(synthetic_sources(rho, M, N, seed_stream(SEED, "sources", rho)))
-        batch = DeviceUpdateBatch(updates=y, rotation_seed=rot)
+        batch = DeviceUpdateBatch(updates=y)
         res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)),
                              seed=seed_stream(SEED, "run", rho))
         rel = abs(measure_distortion(c @ y, res.estimate) - res.predicted_distortion)
@@ -223,7 +222,7 @@ def test_criterion_7_transform_invariants():
     # Gaussianization at N = 2^17: Gaussian inputs stay near-Gaussian, the
     # rho=0.9 synthetic sources keep their covariance, heavy tails shrink.
     N = 2**17
-    rot = seed_stream(3, "rotation")  # criterion 6's rotation seed
+    rot = seed_stream(3, "rotation")  # the rotation of call seed 3
     gauss = np.stack(synthetic_sources(0.9, 2, N, seed=71))
     rot_g = haar_rotate(gauss, rot)
     rep = gaussianization_check(rot_g, gauss)

@@ -50,6 +50,13 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_numeric_failure(self, capsys, tmp_path):
+        # 2^(2r) - 1 is about 1.4e-300 here, so sigma2 / d leaves the float range.
+        p = write_symmetric_model(tmp_path / "s.json", sigma2=1e10, groups=((2, 1e-300),))
+        assert run(["optimize", "--model", p, "--out", str(tmp_path / "res.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric: one-group optimum exceeds the float range")
+
 
 def assert_rejected(tmp_path, argv):
     """argv ends in a config error (exit 3) before any output file is written."""
@@ -212,6 +219,14 @@ class TestFlTrain:
                     "--aggregator", "mbtc", "--budget", "2", "--seed", "1",
                     "--out", str(tmp_path / "out.csv")]) == 0
 
+    @pytest.mark.parametrize("spec, rate_max", [("error-free", "inf"), ("uniform:2", "10")])
+    def test_aggregator_specs(self, capsys, tmp_path, spec, rate_max):
+        # uniform:2 charges 2 bits plus one 64-bit scale over dim 8.
+        assert run(["fl-train", "--devices", "3", "--dim", "8", "--rounds", "2",
+                    "--aggregator", spec, "--seed", "1", "--out", str(tmp_path / "out.csv")]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[-1] for row in rows] == [rate_max, rate_max]
+
     def test_mbtc_requires_budget(self, capsys):
         assert run(["fl-train", "--devices", "2", "--dim", "8", "--rounds", "1",
                     "--aggregator", "mbtc", "--seed", "1"]) == 3
@@ -238,6 +253,17 @@ class TestVerify:
         assert len(lines) == 1 + 3  # 2^2 - 1 subsets
         assert len(result_rows(tmp_path / "v.csv")) == 1 + 3
         assert (tmp_path / "v_meta.json").exists()
+
+    def test_grouped_model_expands(self, capsys, tmp_path):
+        # Groups (2, 1 bit) and (1, 2 bits) expand to three devices with
+        # budgets 1, 1 and 2: all 2^3 - 1 rows, by subset mask.
+        p = write_symmetric_model(tmp_path / "s.json", groups=((2, 1.0), (1, 2.0)))
+        assert run(["verify", "--model", p, "--q", "1,1,0.5", "--lam", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "subset_mask,required_bits,budget_bits,slack"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, 8))
+        assert [float(row[2]) for row in rows] == [1, 1, 2, 2, 3, 3, 4]
 
     def test_q_required_with_model(self, capsys, tmp_path):
         p = write_general_model(tmp_path / "m.json", [[1.0]], [1.0])

@@ -478,6 +478,16 @@ class TestOneGroupExact:
         q = optimize_symmetric(model, lam=1.0 / M).q_groups
         assert one_group_rows(model, q[0]).max() <= 0.0
 
+    def test_lower_bracket_end_below_the_floor(self):
+        # d = 2^39.5 - 1 puts sigma2 / d at 1.29e-12, above Q_MIN, and
+        # (1 - rho) sigma2 / d at 6.4e-13, below it: the lower end is clamped
+        # to Q_MIN, every row holds there, and it is the optimum.
+        model = SymmetricSourceModel(rho=0.5, sigma2=1.0, groups=((5, 19.75),))
+        res = optimize_symmetric(model, lam=0.2)
+        assert res.q_groups[0] == Q_MIN
+        assert res.iterates[0][0] > Q_MIN
+        assert one_group_rows(model, res.q_groups[0]).max() <= 0.0
+
     @given(**wide_one_group)
     def test_closed_form_bracket(self, rho, sigma2, M, r):
         # With d = 2^(2r) - 1, every row holds at sigma2 / d and none has

@@ -94,6 +94,15 @@ class TestValidatePsd:
         out = validate_psd(mat)
         assert np.abs(out - mat).max() <= 1e-11
 
+    def test_tiny_negative_eigenvalue_gets_jitter(self):
+        # Eigenvalues 2 + 1e-13 and -1e-13: within -1e-10 trace/M, so the
+        # diagonal gains 1e-12 trace/M (trace/M = 1) and the result is PSD.
+        mat = np.array([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])
+        assert np.linalg.eigvalsh(mat)[0] < 0.0
+        out = validate_psd(mat)
+        assert np.array_equal(out, mat + 1e-12 * np.eye(2))
+        assert np.linalg.eigvalsh(out)[0] >= 0.0
+
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             validate_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -36,7 +36,7 @@ from fedagg.simulate import (
     synthetic_sources,
     uniform_aggregator,
 )
-from fedagg.transform import DeviceUpdateBatch, haar_derotate, haar_rotate
+from fedagg.transform import DEFAULT_SEGMENT_LEN, DeviceUpdateBatch, haar_derotate, haar_rotate
 from oracles import rotate_everything_mbtc, stacked_quantize_rotated
 
 
@@ -260,7 +260,7 @@ class TestMbtcAggregate:
     def test_empirical_tracks_predicted(self):
         rho, M, N = 0.8, 4, 2**15
         y = np.stack(synthetic_sources(rho, M, N, seed=6))
-        batch = DeviceUpdateBatch(updates=y, rotation_seed=11)
+        batch = DeviceUpdateBatch(updates=y)
         budget = RateBudget(np.full(M, 1.5))
         c = np.full(M, 1.0 / M)
         res = mbtc_aggregate(batch, c, budget, seed=8)
@@ -276,7 +276,7 @@ class TestMbtcAggregate:
         y = synthetic_sources(0.7, M, 3000, seed=17)
         c = np.array([0.1, 0.2, 0.3, 0.4])
         budget = RateBudget(np.full(M, 2.0))
-        res = mbtc_aggregate(DeviceUpdateBatch(y, seed_stream(s, "rotation")), c, budget, seed=s)
+        res = mbtc_aggregate(DeviceUpdateBatch(y), c, budget, seed=s)
         estimate, charges = mbtc_aggregator(budget)(y, c, s)
         assert np.array_equal(res.estimate, estimate)
         assert np.array_equal(res.rate_report, charges)
@@ -285,7 +285,7 @@ class TestMbtcAggregate:
     def test_rate_report_is_the_singleton_rates(self, M):
         # Reference: I(x_m; u_m | u_{-m}) per device, I(x; u) for one device.
         y = np.stack(synthetic_sources(0.7, M, 2048, seed=9))
-        batch = DeviceUpdateBatch(updates=y, rotation_seed=12)
+        batch = DeviceUpdateBatch(updates=y)
         c = np.full(M, 1.0 / M)
         res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)), seed=4)
         model = GaussianSourceModel(
@@ -301,7 +301,7 @@ class TestMbtcAggregate:
         # Groups follow the budgets' first occurrence; each device takes its
         # group's q, and a larger budget buys less noise.
         y = np.stack(synthetic_sources(0.6, 5, 1024, seed=13))
-        batch = DeviceUpdateBatch(updates=y, rotation_seed=14)
+        batch = DeviceUpdateBatch(updates=y)
         budget = RateBudget(np.array([2.0, 1.0, 2.0, 3.0, 1.0]))
         sym, group = _fit_symmetric(empirical_covariance(batch.mean_removed), budget)
         assert sym.groups == ((2, 2.0), (2, 1.0), (1, 3.0))
@@ -324,7 +324,7 @@ class TestMbtcAggregate:
         monkeypatch.setattr(mm_symmetric, "optimize_symmetric", no_optimizer)
         updates = np.array([[1.5] * 8, [-0.25] * 8, [3.0] * 8])
         c = np.array([0.2, 0.3, 0.5])
-        batch = DeviceUpdateBatch(updates=updates, rotation_seed=3, segment_len=4)
+        batch = DeviceUpdateBatch(updates=updates)
         res = mbtc_aggregate(batch, c, RateBudget(np.array(r)))
         assert np.all(np.isposinf(res.q.q))
         assert np.array_equal(res.rate_report, np.zeros(3))
@@ -335,28 +335,28 @@ class TestMbtcAggregate:
     @settings(max_examples=60)
     @given(
         M=st.integers(1, 5),
-        segment_len=st.integers(8, 64),
         blocks=st.integers(1, 4),
         tail=st.floats(0.0, 1.0, exclude_max=True),
         q=st.lists(st.one_of(st.floats(0.05, 5.0), st.just(np.inf)), min_size=5, max_size=5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_rotate_everything_pipeline(self, M, segment_len, blocks, tail, q, seed):
+    def test_matches_rotate_everything_pipeline(self, M, blocks, tail, q, seed):
         # Only the combined noise is de-rotated; rotating every device first,
         # as the decoder sees them, gives the same estimate up to rounding.
         # The optimizer is replaced by the drawn q, silent devices included;
         # each device has its own budget, so each is one group.
-        n = blocks * segment_len + 1 + int(tail * (segment_len - 1))
+        seg = DEFAULT_SEGMENT_LEN
+        n = blocks * seg + 1 + int(tail * (seg - 1))
         rng = np.random.default_rng(seed)
         updates = rng.standard_normal((M, n)) * rng.uniform(0.1, 3.0, (M, 1)) + rng.normal(0, 2, (M, 1))
         c = rng.uniform(0.1, 1.0, M)
         q = MbtcParams(q[:M])
-        batch = DeviceUpdateBatch(updates=updates, rotation_seed=seed + 1, segment_len=segment_len)
+        batch = DeviceUpdateBatch(updates=updates)
         drawn = SimpleNamespace(q_groups=q.q)
         with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn):
             res = mbtc_aggregate(batch, c, RateBudget(np.arange(1.0, M + 1)), seed=seed)
         assert np.array_equal(res.q.q, q.q)
-        expect = rotate_everything_mbtc(updates, c, q.q, seed, seed + 1, segment_len)
+        expect = rotate_everything_mbtc(updates, c, q.q, seed)
         assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(res.estimate).max())
 
 

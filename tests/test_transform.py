@@ -44,10 +44,11 @@ class TestHaarMatrix:
 class TestRotation:
     def test_round_trip(self):
         rng = np.random.default_rng(2)
-        v = rng.standard_normal(3000)
-        for seg in (64, 600, 1024, 3500):
-            x = haar_rotate(v, seed=9, segment_len=seg)
-            back = haar_derotate(x, seed=9, segment_len=seg)
+        # A tail alone, one full segment, and three full segments plus a tail.
+        for n in (64, 600, 1024, 3500):
+            v = rng.standard_normal(n)
+            x = haar_rotate(v, seed=9)
+            back = haar_derotate(x, seed=9)
             assert np.abs(back - v).max() < 1e-9
 
     def test_norm_preserved(self):
@@ -58,71 +59,61 @@ class TestRotation:
 
     def test_deterministic_in_seed(self):
         v = np.arange(100, dtype=float)
-        a = haar_rotate(v, seed=1, segment_len=32)
-        b = haar_rotate(v, seed=1, segment_len=32)
-        c = haar_rotate(v, seed=2, segment_len=32)
+        a = haar_rotate(v, seed=1)
+        b = haar_rotate(v, seed=1)
+        c = haar_rotate(v, seed=2)
         assert np.array_equal(a, b)
         assert not np.allclose(a, c)
-
-    @pytest.mark.parametrize("segment_len", [0, -5])
-    def test_rejects_nonpositive_segment_len(self, segment_len):
-        with pytest.raises(ValueError):
-            haar_rotate(np.ones(10), seed=1, segment_len=segment_len)
 
     def test_shared_rotation_preserves_cross_moments(self):
         # All devices use the same per-segment rotations, so G X X^T G^T summed
         # over segments keeps the M x M empirical covariance exactly.
         rng = np.random.default_rng(4)
         g = rng.standard_normal((3, 2048))
-        x = np.vstack([haar_rotate(row, seed=7, segment_len=256) for row in g])
+        x = np.vstack([haar_rotate(row, seed=7) for row in g])
         pre = empirical_covariance(g)
         post = empirical_covariance(x)
         assert np.abs(pre - post).max() < 1e-10
 
 
 class TestRotationProperties:
+    # n up to 3000 spans two full 1024-long segments plus a tail.
     @settings(max_examples=80)
     @given(
         n=st.integers(1, 3000),
-        segment_len=st.integers(1, 2048),
         rows=st.integers(1, 3),
         seed=st.integers(0, 2**64 - 1),
         data_seed=st.integers(0, 2**32 - 1),
     )
-    def test_inverse_norm_rows_and_seed(self, n, segment_len, rows, seed, data_seed):
+    def test_inverse_norm_rows_and_seed(self, n, rows, seed, data_seed):
         v = np.random.default_rng(data_seed).standard_normal((rows, n))
-        x = haar_rotate(v, seed, segment_len)
-        assert np.abs(haar_derotate(x, seed, segment_len) - v).max() < 1e-12
+        x = haar_rotate(v, seed)
+        assert np.abs(haar_derotate(x, seed) - v).max() < 1e-12
         norms = np.linalg.norm(v, axis=1)
         assert np.abs(np.linalg.norm(x, axis=1) - norms).max() < 1e-12 * norms.max()
-        by_row = np.vstack([haar_rotate(r, seed, segment_len) for r in v])
+        by_row = np.vstack([haar_rotate(r, seed) for r in v])
         assert np.abs(by_row - x).max() < 1e-12
-        assert np.array_equal(haar_rotate(v, seed, segment_len), x)
-        # A segment at least as long as the vector is the whole-vector map.
-        if segment_len >= n:
-            assert np.array_equal(haar_rotate(v, seed, n), x)
-            assert np.array_equal(haar_derotate(x, seed, n), haar_derotate(x, seed, segment_len))
-        # Below 64 coordinates two seeds can draw the same map (segment_len 1
-        # is a sign flip per coordinate, which repeats with odds 2^-n).
+        assert np.array_equal(haar_rotate(v, seed), x)
+        # Below 64 coordinates two seeds can draw the same map (at n = 1 it
+        # is a sign flip, which repeats with odds 1/2).
         if n >= 64:
-            assert not np.allclose(haar_rotate(v, seed + 1, segment_len), x)
+            assert not np.allclose(haar_rotate(v, seed + 1), x)
 
     @settings(max_examples=80)
     @given(
         n=st.integers(1, 3000),
-        segment_len=st.integers(1, 2048),
         rows=st.integers(1, 3),
         seed=st.integers(0, 2**64 - 1),
         data_seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_complex_fft_reference(self, n, segment_len, rows, seed, data_seed):
+    def test_matches_complex_fft_reference(self, n, rows, seed, data_seed):
         # The real-FFT Hartley transform against the complex-FFT map.
         v = np.random.default_rng(data_seed).standard_normal((rows, n))
         tol = 1e-12 * np.linalg.norm(v, axis=1).max()
-        x = haar_rotate(v, seed, segment_len)
-        assert np.abs(x - rotation_reference(v, seed, segment_len)).max() <= tol
-        back = haar_derotate(v, seed, segment_len)
-        assert np.abs(back - rotation_reference(v, seed, segment_len, inverse=True)).max() <= tol
+        x = haar_rotate(v, seed)
+        assert np.abs(x - rotation_reference(v, seed)).max() <= tol
+        back = haar_derotate(v, seed)
+        assert np.abs(back - rotation_reference(v, seed, inverse=True)).max() <= tol
 
     @pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 1024])
     def test_hartley_matches_complex_fft_at_edge_lengths(self, n):
@@ -130,21 +121,20 @@ class TestRotationProperties:
         tol = 1e-12 * np.linalg.norm(v, axis=1).max()
         h = transform._hartley(v, np.empty_like(v), np.empty((2, n // 2 + 1), dtype=complex))
         assert np.abs(h - hartley_reference(v)).max() <= tol
-        for seg in (n, 7, 1024):
-            assert np.abs(haar_rotate(v, 31, seg) - rotation_reference(v, 31, seg)).max() <= tol
-            back = rotation_reference(v, 31, seg, inverse=True)
-            assert np.abs(haar_derotate(v, 31, seg) - back).max() <= tol
+        assert np.abs(haar_rotate(v, 31) - rotation_reference(v, 31)).max() <= tol
+        back = rotation_reference(v, 31, inverse=True)
+        assert np.abs(haar_derotate(v, 31) - back).max() <= tol
 
     @settings(max_examples=40)
     @given(
         n=st.integers(1, 1200),
-        segment_len=st.integers(1, 2048),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_explicit_matrix_orthogonal(self, n, segment_len, seed):
+    def test_explicit_matrix_orthogonal(self, n, seed):
         # The n x n matrix costs O(n^2) memory, so n stops short of the 3000
         # above; the round trip and norm properties cover the longer vectors.
-        E = haar_rotate(np.eye(n), seed, segment_len)
+        # Past 1024 it still holds one full segment and a tail.
+        E = haar_rotate(np.eye(n), seed)
         assert np.abs(E @ E.T - np.eye(n)).max() < 1e-12
 
 
@@ -157,8 +147,8 @@ def test_in_place_passes_equal_allocating_passes(shape):
     # It takes the rows in blocks and the oracle takes the whole stack at
     # once; each row's FFT does not depend on the rows batched with it.
     v = np.random.default_rng(shape[-1]).standard_normal(shape)
-    assert np.array_equal(haar_rotate(v, 19, 1024), allocating_segments(v, 19, 1024))
-    assert np.array_equal(haar_derotate(v, 19, 1024), allocating_segments(v, 19, 1024, inverse=True))
+    assert np.array_equal(haar_rotate(v, 19), allocating_segments(v, 19))
+    assert np.array_equal(haar_derotate(v, 19), allocating_segments(v, 19, inverse=True))
 
 
 class TestRowBlocks:
@@ -197,9 +187,7 @@ def test_rotation_builds_no_dense_matrix(monkeypatch):
     x = haar_rotate(v, seed=1201)
     assert np.abs(haar_derotate(x, seed=1201) - v).max() < 1e-12
     M, N = 3, 4096
-    batch = DeviceUpdateBatch(
-        updates=np.stack(synthetic_sources(0.8, M, N, seed=1202)), rotation_seed=1203
-    )
+    batch = DeviceUpdateBatch(updates=np.stack(synthetic_sources(0.8, M, N, seed=1202)))
     res = mbtc_aggregate(batch, np.full(M, 1.0 / M), RateBudget(np.full(M, 2.0)), seed=1204)
     assert np.isfinite(res.estimate).all()
 
@@ -207,20 +195,19 @@ def test_rotation_builds_no_dense_matrix(monkeypatch):
 class TestInverseTransform:
     def test_recovers_weighted_sum(self):
         rng = np.random.default_rng(5)
-        g = rng.standard_normal((4, 500))
+        # Two full segments plus a tail.
+        g = rng.standard_normal((4, 2500))
         c = np.array([0.1, 0.2, 0.3, 0.4])
-        batch = DeviceUpdateBatch(updates=g, rotation_seed=11, segment_len=128)
-        x = haar_rotate(batch.mean_removed, seed=11, segment_len=128)
-        est = haar_derotate(c @ x, seed=11, segment_len=128) + float(c @ batch.means)
+        batch = DeviceUpdateBatch(updates=g)
+        x = haar_rotate(batch.mean_removed, seed=11)
+        est = haar_derotate(c @ x, seed=11) + float(c @ batch.means)
         assert np.abs(est - c @ g).max() < 1e-9
 
 
 class TestDeviceUpdateBatch:
     def test_cached_views(self):
         rng = np.random.default_rng(6)
-        batch = DeviceUpdateBatch(
-            updates=rng.standard_normal((3, 400)), rotation_seed=1, segment_len=100
-        )
+        batch = DeviceUpdateBatch(updates=rng.standard_normal((3, 400)))
         assert batch.M == 3 and batch.N == 400
         assert np.abs(batch.mean_removed.mean(axis=1)).max() < 1e-12
 
