@@ -2,9 +2,10 @@
 achievability scheme, baseline quantizers, and distortion/rate measurement.
 
 Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
-(estimate of c @ vectors, charged bits per device). A call with seed s shares
-the public rotation seed_stream(s, "rotation") among all devices, and device m
-draws its dither from seed_stream(s, "dev", m).
+(estimate of c @ vectors, charged bits per device); they walk the (M, N) stack
+in blocks, holding a fraction of it. A call with seed s shares the public
+rotation seed_stream(s, "rotation") among all devices, and device m draws its
+dither from seed_stream(s, "dev", m).
 
 Baselines are charged their emitted symbol widths; mbtc the singleton rates
 I(x_m; u_m | u_{-m}) at the optimized q under the empirical covariance, which
@@ -24,12 +25,12 @@ from .model import (
     MbtcParams,
     RateBudget,
     SymmetricSourceModel,
-    empirical_covariance,
 )
 from .region import _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
 from .transform import (
     DeviceUpdateBatch,
+    _apply_segments,
     haar_derotate,
     haar_rotate,
     row_blocks,
@@ -110,18 +111,26 @@ def mbtc_aggregate(
     auxiliary noise, combine. All devices share the public rotation R of
     seed_stream(seed, "rotation"), so R^-1 (w @ (R x + z)) = w @ x +
     R^-1 (w @ z): only the noise is de-rotated."""
-    c = np.asarray(c, dtype=float)
-    model = GaussianSourceModel(sigma_x=empirical_covariance(batch.mean_removed), c=c)
-    if batch.mean_removed.any():
+    c, x, mu = np.asarray(c, dtype=float), batch.updates, batch.means[:, None]
+    # Column blocks, each mean-removed on its own: no copy of the stack is made.
+    cols = row_blocks(batch.N, batch.M)
+    gram, varies = np.zeros((batch.M, batch.M)), False
+    for b in cols:
+        g = x[:, b] - mu
+        gram += g @ g.T
+        varies = varies or bool(g.any())
+    model = GaussianSourceModel(sigma_x=gram / batch.N, c=c)
+    if varies:
         sym, group = _fit_symmetric(model.sigma_x, budget)
         q = MbtcParams(mm_symmetric.optimize_symmetric(sym, float(np.mean(c))).q_groups[group])
     else:
         # No device varies: every device stays silent and the means carry c @ updates.
         q = MbtcParams(np.full(batch.M, np.inf))
     noise = mbtc_noise_surrogate(batch.N, model, q, seed)
-    # w @ x is formed after the rotation's scratch is freed; + commutes bitwise.
     estimate = haar_derotate(noise, seed_stream(seed, "rotation")) + float(c @ batch.means)
-    estimate += mmse_combiner(model, q) @ batch.mean_removed
+    w = mmse_combiner(model, q)
+    for b in cols:
+        estimate[b] += w @ (x[:, b] - mu)
     return AggregationResult(
         estimate=estimate,
         rate_report=_required_bits(model, q, np.eye(batch.M, dtype=bool)),
@@ -130,11 +139,12 @@ def mbtc_aggregate(
     )
 
 
-def qsgd_quantize(v, s: int, seed: int):
+def qsgd_quantize(v, s: int, seed: int, rows=None):
     """Unbiased stochastic quantization to levels {0, 1/s, ..., 1} of |v|/||v||.
 
     Charged bits/symbol: sign + fixed-width level index per element, plus one
-    64-bit norm scalar.
+    64-bit norm scalar. rows: three float rows of v's length to work in
+    (fresh ones if None), the first of which is returned.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
@@ -143,12 +153,14 @@ def qsgd_quantize(v, s: int, seed: int):
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return v.copy(), SCALAR_BITS / n
-    r = np.abs(v) / norm * s
-    low = np.floor(r)
-    rng = np.random.default_rng(seed_stream(seed, "qsgd"))
-    xi = (low + (rng.random(n) < (r - low))) / s
-    bits = (n * (1 + math.ceil(math.log2(s + 1))) + SCALAR_BITS) / n
-    return norm * np.sign(v) * xi, bits
+    r, low, u = (np.empty(n) for _ in range(3)) if rows is None else rows
+    np.multiply(np.divide(np.abs(v, out=r), norm, out=r), s, out=r)  # |v| / norm * s
+    np.subtract(r, np.floor(r, out=low), out=r)
+    # Round up with probability r - low: xi = (low + (u < r - low)) / s.
+    low += np.less(np.random.default_rng(seed_stream(seed, "qsgd")).random(out=u), r, out=u)
+    low /= s
+    np.multiply(np.multiply(np.sign(v, out=r), norm, out=r), low, out=r)  # norm * sign(v) * xi
+    return r, (n * (1 + math.ceil(math.log2(s + 1))) + SCALAR_BITS) / n
 
 
 # MSE-optimal uniform step, in sigma, for a unit Gaussian at 1..6 bits
@@ -160,28 +172,25 @@ def _quantize_rotated(x, bits_per_element: int):
     """Uniform quantizer body over already rotated rows, with one scale
     (the row's standard deviation) per row. The step is Gaussian MSE-optimal
     up to 6 bits and spans [-4 sigma, 4 sigma] from 7 bits on; a row of scale
-    0 quantizes to zeros. Works in place on x, a buffer the caller owns, one
-    block of rows (``row_blocks``) at a time."""
+    0 quantizes to zeros. Works in place on x, a buffer the caller owns: the
+    uniform aggregator passes one row block of its rotation at a time."""
     b = bits_per_element
     if b < 1:
         raise ValueError(f"bits_per_element must be >= 1, got {b}")
     levels = 2**b
     unit_step = GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels
-    rows = np.atleast_2d(x)
-    for block in row_blocks(*rows.shape):
-        xb = rows[block]
-        scale = np.std(xb, axis=-1, keepdims=True)
-        silent = scale == 0.0
-        step = np.where(silent, 1.0, scale) * unit_step
-        lo = -0.5 * levels * step
-        xb -= lo
-        xb /= step
-        np.floor(xb, out=xb)
-        np.clip(xb, 0, levels - 1, out=xb)
-        xb += 0.5
-        xb *= step
-        xb += lo
-        np.copyto(xb, 0.0, where=silent)
+    scale = np.std(x, axis=-1, keepdims=True)
+    silent = scale == 0.0
+    step = np.where(silent, 1.0, scale) * unit_step
+    lo = -0.5 * levels * step
+    x -= lo
+    x /= step
+    np.floor(x, out=x)
+    np.clip(x, 0, levels - 1, out=x)
+    x += 0.5
+    x *= step
+    x += lo
+    np.copyto(x, 0.0, where=silent)
     return x
 
 
@@ -196,17 +205,22 @@ def baseline_aggregate(quantized, c):
     """Weighted sum of separately quantized device vectors. Each vector is
     added as the iterable yields it, from 0 and in order as ``sum`` adds, so
     a generator of quantized rows is never held whole."""
+    return _sum_in_place((np.array(v, dtype=float) for v in quantized), c)
+
+
+def _sum_in_place(rows, c):
+    """``baseline_aggregate`` over float rows it may overwrite: each is weighted in place."""
     c = np.asarray(c, dtype=float)
     total, count = None, 0
-    for count, v in enumerate(quantized, 1):
-        v = np.asarray(v, dtype=float)
+    for count, v in enumerate(rows, 1):
         if total is None:
             total = np.zeros(v.shape[0])
         if v.shape != total.shape:
             raise ValueError("all quantized vectors must share one length")
         if count > c.shape[0]:
             raise ValueError(f"more than {c.shape[0]} vectors for {c.shape[0]} weights")
-        total += c[count - 1] * v
+        v *= c[count - 1]
+        total += v
     if total is None or count != c.shape[0]:
         raise ValueError(f"{count} vectors but {c.shape[0]} weights")
     return total
@@ -218,46 +232,49 @@ def qsgd_levels_for_rate(rate_bits: float) -> int:
     return max(2**budget - 1, 1) if budget >= 1 else 1
 
 
-def _per_device(quantize):
-    """Aggregator over a quantizer (v, m, seed) -> (v_hat, charged bits) of
-    device m. Each quantized row is summed into the estimate as it is made."""
+def error_free_aggregator():
+    """Exact weighted sum; no finite rate is charged."""
+    return lambda vectors, c, seed: (baseline_aggregate(vectors, c), np.full(len(c), np.inf))
+
+
+def qsgd_aggregator(s: int):
+    """Each device quantized by QSGD with s levels and its own dither, into
+    three rows that one call reuses, and summed into the estimate as made."""
 
     def aggregate(vectors, c, seed):
         charges = []
 
         def quantized():
+            rows = np.empty((3, 0))
             for m, v in enumerate(vectors):
-                v_hat, bits = quantize(v, m, seed)
+                rows = rows if rows.shape[1] == len(v) else np.empty((3, len(v)))
+                v_hat, bits = qsgd_quantize(v, s, seed_stream(seed, "dev", m), rows)
                 charges.append(bits)
                 yield v_hat
 
-        return baseline_aggregate(quantized(), c), np.array(charges)
+        return _sum_in_place(quantized(), c), np.array(charges)
 
     return aggregate
-
-
-def error_free_aggregator():
-    """Exact weighted sum; no finite rate is charged."""
-    return _per_device(lambda v, m, seed: (v, np.inf))
-
-
-def qsgd_aggregator(s: int):
-    """Each device quantized by QSGD with s levels and its own dither."""
-    return _per_device(lambda v, m, seed: qsgd_quantize(v, s, seed_stream(seed, "dev", m)))
 
 
 def uniform_aggregator(bits_per_element: int):
     """Each device rotated by the public rotation and quantized uniformly.
 
-    De-rotation is linear and shared, so the c-weighted sum of the quantized
-    rows is de-rotated once instead of once per device.
+    Rotation, quantization and the c-weighted sum take one row block at a
+    time in one reused buffer; de-rotation is linear and shared, so the sum
+    is de-rotated once instead of once per device.
     """
 
     def aggregate(vectors, c, seed):
         rotation = seed_stream(seed, "rotation")
-        x = _quantize_rotated(haar_rotate(vectors, rotation), bits_per_element)
-        estimate = haar_derotate(np.asarray(c, dtype=float) @ x, rotation)
-        return estimate, np.full(x.shape[0], bits_per_element + SCALAR_BITS / x.shape[1])
+        vectors, c = np.asarray(vectors, dtype=float), np.asarray(c, dtype=float)
+        if c.shape != vectors.shape[:1]:
+            raise ValueError(f"{len(vectors)} vectors but {c.size} weights")
+        total = np.zeros(vectors.shape[1])
+        for block, x in _apply_segments(vectors, rotation, inverse=False):
+            total += c[block] @ _quantize_rotated(x, bits_per_element)
+        charges = np.full(len(vectors), bits_per_element + SCALAR_BITS / vectors.shape[1])
+        return haar_derotate(total, rotation), charges
 
     return aggregate
 

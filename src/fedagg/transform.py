@@ -1,5 +1,5 @@
 """Data pre/post-processing: segmented random rotation and the update-batch
-container, which also removes the means.
+container, which holds the updates and their means.
 
 Segments of DEFAULT_SEGMENT_LEN coordinates (the tail shorter) are rotated by
 a randomized Hartley transform (one real FFT per Hartley pass, no stored
@@ -50,35 +50,42 @@ def _hartley(x: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_segments(v, seed: int, inverse: bool):
-    # Accepts a vector or row-stacked vectors, taken in row blocks. All full
-    # segments of a block's rows go through one batched transform; the short
-    # tail takes one more call. Both Hartley passes and the sign flips run
-    # inside the output buffer, with one complex scratch array per segment
-    # length, sized for one block.
+def _apply_segments(v, seed: int, inverse: bool, out=None):
+    # Yields (block, y) per row block of v, a vector or row-stacked vectors:
+    # y holds the block's rows rotated (inverse: de-rotated) in out[block],
+    # or without out in one buffer that every block reuses. A block's full
+    # segments take one batched transform and the tail one more, in views of
+    # y (C-ordered rows) with block-sized complex scratch. The +-1 diagonals
+    # are drawn once per call, row by row (the bits of one (2, n) draw).
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
-    d1, d2 = rng.integers(0, 2, size=(2, n)) * 2.0 - 1.0
+    d1, d2 = (rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(2))
     full = n - n % DEFAULT_SEGMENT_LEN
-    out = np.empty(v.shape)
+    spans = [s for s in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)) if s[0] < s[1]]
     stacked = (math.prod(v.shape[:-1]), n)
-    rows, out_rows = v.reshape(stacked), out.reshape(stacked)
-    blocks = row_blocks(stacked[0], n)
-    for lo, hi, seg in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)):
-        if lo < hi and blocks:
+    rows, blocks = v.reshape(stacked), row_blocks(*stacked)
+    step = blocks[0].stop if blocks else 0
+    dest = np.empty((step, n)) if out is None else out.reshape(stacked)
+    scratch = [np.empty((step, (hi - lo) // seg, seg // 2 + 1), complex) for lo, hi, seg in spans]
+    for block in blocks:
+        k = block.stop - block.start
+        y_rows = dest[:k] if out is None else dest[block]
+        for (lo, hi, seg), f in zip(spans, scratch):
             s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
-            scratch = np.empty((blocks[0].stop, (hi - lo) // seg, seg // 2 + 1), dtype=complex)
-            for block in blocks:
-                shape = (block.stop - block.start, (hi - lo) // seg, seg)
-                # A reshape of a column range of the C-ordered out is a view.
-                x, y = rows[block, lo:hi].reshape(shape), out_rows[block, lo:hi].reshape(shape)
-                f = scratch[: shape[0]]
-                _hartley(x if inverse else np.multiply(s1, x, out=y), y, f)
-                y *= s2
-                _hartley(y, y, f)
-                if inverse:
-                    y *= s1
+            x, y = (a[:, lo:hi].reshape(k, -1, seg) for a in (rows[block], y_rows))
+            _hartley(x if inverse else np.multiply(s1, x, out=y), y, f[:k])
+            y *= s2
+            _hartley(y, y, f[:k])
+            if inverse:
+                y *= s1
+        yield block, y_rows
+
+
+def _rotated(v, seed: int, inverse: bool) -> np.ndarray:
+    out = np.empty(np.shape(v))
+    for _ in _apply_segments(v, seed, inverse, out):
+        pass
     return out
 
 
@@ -89,19 +96,19 @@ def haar_rotate(g_tilde, seed: int):
     Orthogonal and Gaussianizing like a Haar rotation, with no stored matrix.
     Takes one vector or an (M, N) stack; the short tail block takes the same map.
     """
-    return _apply_segments(g_tilde, seed, inverse=False)
+    return _rotated(g_tilde, seed, inverse=False)
 
 
 def haar_derotate(x, seed: int):
     """Inverse (x -> D1 H D2 H x per block) of haar_rotate with the same seed."""
-    return _apply_segments(x, seed, inverse=True)
+    return _rotated(x, seed, inverse=True)
 
 
 @dataclass(frozen=True)
 class DeviceUpdateBatch:
-    """Raw local updates (an (M, N) float array is held without a copy), with
-    their per-device means and mean-removed rows. The rotation is not carried:
-    it follows the seed of the call that aggregates the batch."""
+    """Raw local updates (an (M, N) float array, held without a copy) and
+    their per-device means; no mean-removed copy is made. The rotation is not
+    carried: it follows the seed of the call that aggregates the batch."""
 
     updates: np.ndarray  # (M, N)
 
@@ -119,7 +126,3 @@ class DeviceUpdateBatch:
     @cached_property
     def means(self) -> np.ndarray:
         return self.updates.mean(axis=1)
-
-    @cached_property
-    def mean_removed(self) -> np.ndarray:
-        return self.updates - self.means[:, None]

@@ -19,6 +19,7 @@ import numpy as np
 from fedagg.barrier import interior_start, minimize_linear
 from fedagg.model import Q_MIN, empirical_covariance
 from fedagg.seeds import seed_stream
+from fedagg.simulate import GAUSSIAN_STEP
 from fedagg.transform import DEFAULT_SEGMENT_LEN
 
 LOG2E = 1.0 / np.log(2.0)
@@ -461,6 +462,54 @@ def rotate_everything_mbtc(updates, c, q, seed: int):
         rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
         u[m] = x[m] + np.sqrt(q[m]) * rng.standard_normal(x.shape[1])
     return rotation_reference(w @ u, rotation, inverse=True) + c @ means
+
+
+def allocating_qsgd(v, s: int, seed: int) -> np.ndarray:
+    """QSGD as the library computed it before it worked in reused rows: each
+    step returns a new array. The same operations in the same order, so the
+    in-place quantizer must equal it bit for bit."""
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return v.copy()
+    r = np.abs(v) / norm * s
+    low = np.floor(r)
+    rng = np.random.default_rng(seed_stream(seed, "qsgd"))
+    xi = (low + (rng.random(v.shape[0]) < (r - low))) / s
+    return norm * np.sign(v) * xi
+
+
+def whole_stack_uniform(vectors, c, bits: int, seed: int) -> np.ndarray:
+    """The uniform aggregator's estimate as the library formed it from one
+    rotated copy of the whole stack: c @ quantize(rotate(stack)), de-rotated
+    once, with the rotation of seed_stream(seed, "rotation") in the
+    library's operation order (``allocating_segments``)."""
+    rotation = seed_stream(seed, "rotation")
+    unit_step = GAUSSIAN_STEP[bits - 1] if bits <= len(GAUSSIAN_STEP) else 8.0 / 2**bits
+    x = stacked_quantize_rotated(allocating_segments(vectors, rotation), bits, unit_step)
+    return allocating_segments(np.asarray(c, dtype=float) @ x, rotation, inverse=True)
+
+
+def whole_stack_mbtc(updates, c, q, seed: int):
+    """The mbtc estimate at a given q as the library formed it from one
+    mean-removed copy g of the whole stack: Sigma = g g^T / N, w the MMSE
+    combiner over the devices that speak, and R^-1 (w @ z) + c . means +
+    w @ g, with device m's N(0, q_m) noise from seed_stream(seed,
+    "aux-noise", m). Returns the estimate and Sigma."""
+    updates = np.asarray(updates, dtype=float)
+    c, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
+    means = updates.mean(axis=1)
+    g = updates - means[:, None]
+    sigma = g @ g.T / g.shape[1]
+    speak = np.flatnonzero(np.isfinite(q))
+    w = np.zeros(len(q))
+    w[speak] = np.linalg.solve(sigma[np.ix_(speak, speak)] + np.diag(q[speak]), (sigma @ c)[speak])
+    z = np.zeros(g.shape[1])
+    for m in speak:
+        rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
+        z += w[m] * np.sqrt(q[m]) * rng.standard_normal(g.shape[1])
+    estimate = rotation_reference(z, seed_stream(seed, "rotation"), inverse=True) + c @ means
+    return estimate + w @ g, sigma
 
 
 def theta_decimal(rho, sigma2, M: int, q, s: int, digits: int = 50) -> float:

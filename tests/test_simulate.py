@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedagg import mm_symmetric
+from fedagg import mm_symmetric, transform
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -37,7 +37,14 @@ from fedagg.simulate import (
     uniform_aggregator,
 )
 from fedagg.transform import DEFAULT_SEGMENT_LEN, DeviceUpdateBatch, haar_derotate, haar_rotate
-from oracles import rotate_everything_mbtc, stacked_quantize_rotated
+from oracles import (
+    allocating_qsgd,
+    allocating_segments,
+    rotate_everything_mbtc,
+    stacked_quantize_rotated,
+    whole_stack_mbtc,
+    whole_stack_uniform,
+)
 
 
 class TestSyntheticSources:
@@ -208,8 +215,9 @@ class TestQuantizeRotatedBlocks:
     @pytest.mark.parametrize("shape", [(10, 2**17), (3, 2**17 + 77), (2100, 64), (777,)])
     @pytest.mark.parametrize("bits", [2, 7])
     def test_equals_one_stacked_pass(self, shape, bits):
-        # Row blocks change no bit: each row's std does not depend on the
-        # rows reduced with it. Row 0 of a stack is silent.
+        # The uniform aggregator hands the quantizer one row block at a time;
+        # each row's std does not depend on the rows reduced with it, so any
+        # block equals the stacked pass bit for bit. Row 0 of a stack is silent.
         x = haar_rotate(np.random.default_rng(shape[-1]).standard_normal(shape), 23)
         if x.ndim == 2:
             x[0] = 0.0
@@ -289,7 +297,7 @@ class TestMbtcAggregate:
         c = np.full(M, 1.0 / M)
         res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)), seed=4)
         model = GaussianSourceModel(
-            sigma_x=validate_psd(empirical_covariance(batch.mean_removed)), c=c
+            sigma_x=validate_psd(empirical_covariance(y - batch.means[:, None])), c=c
         )
         expected = [
             sum_mutual_info(model, res.q) if M == 1 else cond_mutual_info(model, res.q, [m])
@@ -303,7 +311,7 @@ class TestMbtcAggregate:
         y = np.stack(synthetic_sources(0.6, 5, 1024, seed=13))
         batch = DeviceUpdateBatch(updates=y)
         budget = RateBudget(np.array([2.0, 1.0, 2.0, 3.0, 1.0]))
-        sym, group = _fit_symmetric(empirical_covariance(batch.mean_removed), budget)
+        sym, group = _fit_symmetric(empirical_covariance(y - batch.means[:, None]), budget)
         assert sym.groups == ((2, 2.0), (2, 1.0), (1, 3.0))
         assert group.tolist() == [0, 1, 0, 2, 1]
         q = mbtc_aggregate(batch, np.full(5, 0.2), budget).q.q
@@ -360,6 +368,84 @@ class TestMbtcAggregate:
         assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(res.estimate).max())
 
 
+class TestSmallBlocks:
+    """With 64-element blocks, small stacks cross many row blocks (rotation,
+    uniform quantizer) and column blocks (mbtc statistics and combiner); the
+    streamed aggregators still match their whole-stack formulas."""
+
+    @settings(max_examples=60)
+    @given(
+        M=st.integers(1, 6),
+        n=st.integers(1, 300) | st.integers(1025, 1300),
+        bits=st.integers(1, 7),
+        q=st.lists(st.one_of(st.floats(0.05, 5.0), st.just(np.inf)), min_size=6, max_size=6),
+        silent=st.lists(st.booleans(), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_aggregators_match_whole_stack(self, M, n, bits, q, silent, seed):
+        rng = np.random.default_rng(seed)
+        updates = rng.standard_normal((M, n)) * rng.uniform(0.1, 3.0, (M, 1)) + rng.normal(0, 2, (M, 1))
+        c = rng.uniform(0.1, 1.0, M)
+        with mock.patch.object(transform, "BLOCK_ELEMENTS", 64):
+            assert np.array_equal(haar_rotate(updates, seed), allocating_segments(updates, seed))
+            # Uniform: rows of scale 0 quantize to zeros, so they drop out of the sum.
+            zeroed = np.where(np.array(silent[:M])[:, None], 0.0, updates)
+            estimate, charges = uniform_aggregator(bits)(zeroed, c, seed)
+            expect = whole_stack_uniform(zeroed, c, bits, seed)
+            assert np.abs(estimate - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+            live = ~np.array(silent[:M])
+            if live.any():
+                alone = whole_stack_uniform(updates[live], c[live], bits, seed)
+                assert np.abs(estimate - alone).max() <= 1e-12 * max(1.0, np.abs(alone).max())
+            assert np.array_equal(charges, np.full(M, bits + 64 / n))
+            # mbtc at the drawn q, each device its own group.
+            drawn = SimpleNamespace(q_groups=np.array(q[:M]))
+            with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn):
+                res = mbtc_aggregate(DeviceUpdateBatch(updates), c, RateBudget(np.arange(1.0, M + 1)), seed)
+            expect, sigma = whole_stack_mbtc(updates, c, drawn.q_groups, seed)
+            assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+            model = GaussianSourceModel(sigma_x=sigma, c=c)
+            rates = [
+                sum_mutual_info(model, res.q) if M == 1 else cond_mutual_info(model, res.q, [m])
+                for m in range(M)
+            ]
+            assert np.abs(res.rate_report - rates).max() <= 1e-12 * max(1.0, np.abs(rates).max())
+            # QSGD with the sweep's 2^bits - 1 levels: bit for bit the in-order
+            # sum of the per-device quantizer, whose rows equal the allocating
+            # formula's.
+            s = 2**bits - 1
+            total = np.zeros(n)
+            for m, v in enumerate(zeroed):
+                row = allocating_qsgd(v, s, seed_stream(seed, "dev", m))
+                assert np.array_equal(qsgd_quantize(v, s, seed_stream(seed, "dev", m))[0], row)
+                total += c[m] * row
+            assert np.array_equal(qsgd_aggregator(s)(zeroed, c, seed)[0], total)
+
+    @settings(max_examples=30)
+    @given(
+        M=st.integers(1, 6),
+        n=st.integers(1, 300) | st.integers(1025, 1300),
+        levels=st.lists(st.integers(-80, 80), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constant_rows_take_the_silent_path(self, M, n, levels, seed):
+        # Multiples of 1/8 have exact means, so every mean-removed entry is
+        # zero: no optimizer runs, every device is silent and the means carry
+        # c @ updates.
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("no optimizer may run on constant rows")
+
+        updates = np.repeat(np.array(levels[:M])[:, None] / 8.0, n, axis=1)
+        c = np.random.default_rng(seed).uniform(0.1, 1.0, M)
+        with mock.patch.object(transform, "BLOCK_ELEMENTS", 64), mock.patch.object(
+            mm_symmetric, "optimize_symmetric", no_optimizer
+        ):
+            res = mbtc_aggregate(DeviceUpdateBatch(updates), c, RateBudget(np.full(M, 2.0)), seed)
+        assert np.all(np.isposinf(res.q.q))
+        expect = c @ updates
+        assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+
+
 class TestSweep:
     def test_rows_and_determinism(self):
         kwargs = dict(
@@ -396,15 +482,16 @@ class TestSweep:
 
 class TestPeakMemory:
     """Peak bytes that one call allocates, in units of the (10, 2^17) float64
-    device stack it is given; tracemalloc sees numpy's array buffers. Each
-    pass over the stack takes it in row blocks (here one row each), so its
-    temporaries cost a block, not a stack. A rotation holds its output, the
-    +-1 diagonals and one block's complex scratch (1.32); the mbtc
-    aggregator its mean-removed rows (1.53); the uniform aggregator one
-    rotated copy that it quantizes in place (1.52); the QSGD aggregator a
-    few rows of one device's quantizer, each row summed as it is made
-    (0.61). A sweep row, whose sources are counted, holds at most the
-    sources plus the largest of these (2.72)."""
+    device stack it is given; tracemalloc sees numpy's array buffers. No call
+    copies the stack: each pass takes it in blocks (here one row, or 13,107
+    columns for mbtc), so its temporaries cost a block, not a stack. A
+    rotation holds its output, the +-1 diagonals and one block's complex
+    scratch (1.32). The aggregators hold a fraction of one stack: mbtc its
+    combined noise while it is de-rotated (0.52); the uniform aggregator one
+    rotated block, its (N,) sum and then that sum's de-rotation (0.62); the
+    QSGD aggregator its sum and three reused quantizer rows (0.40). A sweep
+    row, whose sources are counted, holds the sources plus the largest of
+    these (1.82)."""
 
     M, N = 10, 2**17
 
@@ -416,10 +503,10 @@ class TestPeakMemory:
         "call, bound",
         [
             (lambda x: haar_rotate(x, 7), 1.6),
-            (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 1.6),
-            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 1.7),
-            (lambda x: qsgd_aggregator(3)(x, np.full(10, 0.1), 7), 0.8),
-            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 2.9),
+            (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 0.6),
+            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 0.7),
+            (lambda x: qsgd_aggregator(3)(x, np.full(10, 0.1), 7), 0.5),
+            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.9),
         ],
         ids=["haar_rotate", "mbtc_aggregator", "uniform_aggregator", "qsgd_aggregator", "sweep_row"],
     )
