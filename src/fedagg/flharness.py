@@ -105,8 +105,8 @@ def local_gradient(theta, task: QuadraticTask, m: int) -> np.ndarray:
 
 
 def fl_round(theta, task: QuadraticTask, aggregator, eta: float, round_seed: int = 0):
-    """One synchronous round: local gradients, aggregation, global step."""
-    gradients = [local_gradient(theta, task, m) for m in range(task.M)]
+    """One synchronous round: local gradients (stacked once), aggregation, global step."""
+    gradients = np.array([local_gradient(theta, task, m) for m in range(task.M)])
     c = task.weights
     g_hat, rate_report = aggregator(gradients, c, round_seed)
     error_energy = measure_distortion(baseline_aggregate(gradients, c), g_hat)

@@ -2,10 +2,11 @@
 achievability scheme, baseline quantizers, and distortion/rate measurement.
 
 Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
-(estimate of c @ vectors, charged bits per device); they walk the (M, N) stack
-in blocks, holding a fraction of it. A call with seed s shares the public
-rotation seed_stream(s, "rotation") among all devices, and device m draws its
-dither from seed_stream(s, "dev", m).
+(estimate of c @ vectors, charged bits per device). Each call checks its input
+once, in ``_stack``, before any quantizer, rotation or optimizer runs, then
+walks the (M, N) stack in blocks, holding a fraction of it. A call with seed s
+shares the public rotation seed_stream(s, "rotation") among all devices, and
+device m draws its dither from seed_stream(s, "dev", m).
 
 Baselines are charged their emitted symbol widths; mbtc the singleton rates
 I(x_m; u_m | u_{-m}) at the optimized q under the empirical covariance, which
@@ -61,14 +62,13 @@ def measure_distortion(target, estimate) -> float:
     return float(np.sum((target - estimate) ** 2) / target.shape[0])
 
 
-def mbtc_noise_surrogate(n: int, model: GaussianSourceModel, q_star, seed: int):
-    """Combined test-channel noise w @ z of the decoder-output surrogate: device
-    m adds z_m ~ N(0, q_m I_n) from seed_stream(seed, "aux-noise", m), a silent
-    device (q_m = +inf) none, and w is the MMSE combiner."""
+def mbtc_noise_surrogate(n: int, w, q_star, seed: int):
+    """Combined test-channel noise w @ z of the decoder-output surrogate, for
+    the MMSE combiner w solved at q_star: device m adds z_m ~ N(0, q_m I_n)
+    from seed_stream(seed, "aux-noise", m), a silent device (q_m = +inf) none."""
     qv = q_star.q if isinstance(q_star, MbtcParams) else np.asarray(q_star, dtype=float)
-    if qv.shape != (model.M,):
-        raise ValueError(f"got {qv.size} test-channel variances for an M = {model.M} model")
-    w = mmse_combiner(model, qv)
+    if qv.shape != w.shape:
+        raise ValueError(f"got {qv.size} test-channel variances for {w.size} combiner weights")
     out = np.zeros(n)
     for m in np.flatnonzero(~np.isposinf(qv)):
         rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
@@ -122,13 +122,15 @@ def mbtc_aggregate(
     model = GaussianSourceModel(sigma_x=gram / batch.N, c=c)
     if varies:
         sym, group = _fit_symmetric(model.sigma_x, budget)
-        q = MbtcParams(mm_symmetric.optimize_symmetric(sym, float(np.mean(c))).q_groups[group])
+        # lambda only scales the distortion traces (symmetric_distortion); the
+        # grouped q does not depend on it, so 1 serves any c, zero-mean c too.
+        q = MbtcParams(mm_symmetric.optimize_symmetric(sym, 1.0).q_groups[group])
     else:
         # No device varies: every device stays silent and the means carry c @ updates.
         q = MbtcParams(np.full(batch.M, np.inf))
-    noise = mbtc_noise_surrogate(batch.N, model, q, seed)
-    estimate = haar_derotate(noise, seed_stream(seed, "rotation")) + float(c @ batch.means)
     w = mmse_combiner(model, q)
+    noise = mbtc_noise_surrogate(batch.N, w, q, seed)
+    estimate = haar_derotate(noise, seed_stream(seed, "rotation")) + float(c @ batch.means)
     for b in cols:
         estimate[b] += w @ (x[:, b] - mu)
     return AggregationResult(
@@ -201,28 +203,27 @@ def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
     return haar_derotate(xq, seed), bits_per_element + SCALAR_BITS / v.shape[0]
 
 
-def baseline_aggregate(quantized, c):
-    """Weighted sum of separately quantized device vectors. Each vector is
-    added as the iterable yields it, from 0 and in order as ``sum`` adds, so
-    a generator of quantized rows is never held whole."""
-    return _sum_in_place((np.array(v, dtype=float) for v in quantized), c)
+def _stack(vectors, c):
+    """The checked (M, N) float stack of the device vectors and their M
+    weights. A float array is not copied; a list of equal-length vectors is
+    stacked once. Raises ValueError on ragged rows or on a weight count off M."""
+    if not isinstance(vectors, np.ndarray) and len({np.shape(v) for v in vectors}) > 1:
+        raise ValueError("all vectors must share one length")
+    x, c = np.asarray(vectors, dtype=float), np.asarray(c, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected an (M, N) stack of device vectors, got shape {x.shape}")
+    if c.shape != x.shape[:1]:
+        raise ValueError(f"{x.shape[0]} vectors but {c.size} weights")
+    return x, c
 
 
-def _sum_in_place(rows, c):
-    """``baseline_aggregate`` over float rows it may overwrite: each is weighted in place."""
-    c = np.asarray(c, dtype=float)
-    total, count = None, 0
-    for count, v in enumerate(rows, 1):
-        if total is None:
-            total = np.zeros(v.shape[0])
-        if v.shape != total.shape:
-            raise ValueError("all quantized vectors must share one length")
-        if count > c.shape[0]:
-            raise ValueError(f"more than {c.shape[0]} vectors for {c.shape[0]} weights")
-        v *= c[count - 1]
-        total += v
-    if total is None or count != c.shape[0]:
-        raise ValueError(f"{count} vectors but {c.shape[0]} weights")
+def baseline_aggregate(vectors, c):
+    """c @ vectors as the in-order sum total += c_m * v from 0, over the
+    checked stack: the target every aggregator is measured against."""
+    x, c = _stack(vectors, c)
+    total = np.zeros(x.shape[1])
+    for c_m, v in zip(c, x):
+        total += c_m * v
     return total
 
 
@@ -239,20 +240,17 @@ def error_free_aggregator():
 
 def qsgd_aggregator(s: int):
     """Each device quantized by QSGD with s levels and its own dither, into
-    three rows that one call reuses, and summed into the estimate as made."""
+    three rows that one call reuses; each quantized row is weighted in place
+    and added to the estimate in device order, as ``baseline_aggregate`` adds."""
 
     def aggregate(vectors, c, seed):
-        charges = []
-
-        def quantized():
-            rows = np.empty((3, 0))
-            for m, v in enumerate(vectors):
-                rows = rows if rows.shape[1] == len(v) else np.empty((3, len(v)))
-                v_hat, bits = qsgd_quantize(v, s, seed_stream(seed, "dev", m), rows)
-                charges.append(bits)
-                yield v_hat
-
-        return _sum_in_place(quantized(), c), np.array(charges)
+        x, c = _stack(vectors, c)
+        rows, total, charges = np.empty((3, x.shape[1])), np.zeros(x.shape[1]), np.empty(len(c))
+        for m, v in enumerate(x):
+            v_hat, charges[m] = qsgd_quantize(v, s, seed_stream(seed, "dev", m), rows)
+            v_hat *= c[m]
+            total += v_hat
+        return total, charges
 
     return aggregate
 
@@ -266,14 +264,12 @@ def uniform_aggregator(bits_per_element: int):
     """
 
     def aggregate(vectors, c, seed):
+        x, c = _stack(vectors, c)
         rotation = seed_stream(seed, "rotation")
-        vectors, c = np.asarray(vectors, dtype=float), np.asarray(c, dtype=float)
-        if c.shape != vectors.shape[:1]:
-            raise ValueError(f"{len(vectors)} vectors but {c.size} weights")
-        total = np.zeros(vectors.shape[1])
-        for block, x in _apply_segments(vectors, rotation, inverse=False):
-            total += c[block] @ _quantize_rotated(x, bits_per_element)
-        charges = np.full(len(vectors), bits_per_element + SCALAR_BITS / vectors.shape[1])
+        total = np.zeros(x.shape[1])
+        for block, y in _apply_segments(x, rotation, inverse=False):
+            total += c[block] @ _quantize_rotated(y, bits_per_element)
+        charges = np.full(len(c), bits_per_element + SCALAR_BITS / x.shape[1])
         return haar_derotate(total, rotation), charges
 
     return aggregate
@@ -283,7 +279,8 @@ def mbtc_aggregator(budget: RateBudget):
     """The mbtc pipeline, charged its singleton rates."""
 
     def aggregate(vectors, c, seed):
-        res = mbtc_aggregate(DeviceUpdateBatch(vectors), c, budget, seed=seed)
+        x, c = _stack(vectors, c)
+        res = mbtc_aggregate(DeviceUpdateBatch(x), c, budget, seed=seed)
         return res.estimate, res.rate_report
 
     return aggregate

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedagg import mm_symmetric, transform
+from fedagg import mm_symmetric, simulate, transform
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -24,6 +24,7 @@ from fedagg.simulate import (
     _fit_symmetric,
     _quantize_rotated,
     baseline_aggregate,
+    error_free_aggregator,
     mbtc_aggregator,
     mbtc_aggregate,
     mbtc_noise_surrogate,
@@ -81,7 +82,8 @@ class TestNoiseSurrogate:
             sigma_x=empirical_covariance(y), c=np.full(M, 1.0 / M)
         )
         q = MbtcParams(np.full(M, 0.4))
-        est = mmse_combiner(model, q) @ y + mbtc_noise_surrogate(N, model, q, seed=3)
+        w = mmse_combiner(model, q)
+        est = w @ y + mbtc_noise_surrogate(N, w, q, seed=3)
         target = model.c @ y
         emp = measure_distortion(target, est)
         assert emp == pytest.approx(distortion(model, q), rel=0.02)
@@ -89,13 +91,17 @@ class TestNoiseSurrogate:
     def test_silent_device_dropped(self):
         model = GaussianSourceModel(sigma_x=np.eye(2), c=np.array([1.0, 1.0]))
         q = MbtcParams(np.array([0.5, np.inf]))
-        est = mbtc_noise_surrogate(10, model, q, seed=0)
+        est = mbtc_noise_surrogate(10, mmse_combiner(model, q), q, seed=0)
         # Device 2 contributes nothing; deterministic check via seed reuse.
-        est2 = mbtc_noise_surrogate(10, GaussianSourceModel(
-            sigma_x=np.eye(1), c=np.array([1.0])), MbtcParams([0.5]), seed=0)
+        alone = GaussianSourceModel(sigma_x=np.eye(1), c=np.array([1.0]))
+        est2 = mbtc_noise_surrogate(10, mmse_combiner(alone, [0.5]), MbtcParams([0.5]), seed=0)
         assert est.shape == (10,)
         assert np.isfinite(est).all()
         assert np.array_equal(est, est2)
+
+    def test_rejects_q_off_the_combiner(self):
+        with pytest.raises(ValueError, match="2 test-channel variances for 3 combiner weights"):
+            mbtc_noise_surrogate(10, np.ones(3), MbtcParams([0.5, 0.5]), seed=0)
 
 
 class TestQsgd:
@@ -182,14 +188,31 @@ class TestBaselineAggregate:
             baseline_aggregate([np.ones(3)], [0.5, 0.5])
 
     def test_shape_errors_through_a_streaming_aggregator(self):
-        # The QSGD aggregator sums each row as it is quantized; it still
-        # rejects rows of unequal length and a weight count off the row count.
-        qsgd = qsgd_aggregator(3)
-        with pytest.raises(ValueError, match="share one length"):
-            qsgd([np.ones(3), np.ones(4)], [0.5, 0.5], 1)
-        for m, weights in ((3, [0.5, 0.5]), (2, [0.2, 0.3, 0.5])):
-            with pytest.raises(ValueError, match="weights"):
-                qsgd(np.ones((m, 4)), weights, 1)
+        # Every aggregator and the baseline sum check the stack up front: ragged
+        # rows and a weight count off the row count raise before any
+        # quantizer, rotation or optimizer call.
+        calls = {
+            "baseline": lambda x, c: baseline_aggregate(x, c),
+            "error_free": lambda x, c: error_free_aggregator()(x, c, 1),
+            "qsgd": lambda x, c: qsgd_aggregator(3)(x, c, 1),
+            "uniform": lambda x, c: uniform_aggregator(2)(x, c, 1),
+            "mbtc": lambda x, c: mbtc_aggregator(RateBudget(np.full(len(x), 2.0)))(x, c, 1),
+        }
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the input was checked")
+
+        with mock.patch.object(simulate, "qsgd_quantize", no_work), mock.patch.object(
+            simulate, "_apply_segments", no_work
+        ), mock.patch.object(mm_symmetric, "optimize_symmetric", no_work):
+            for call in calls.values():
+                with pytest.raises(ValueError, match="share one length"):
+                    call([np.ones(3), np.ones(4)], [0.5, 0.5])
+                with pytest.raises(ValueError, match=r"\(M, N\) stack"):
+                    call(np.ones(4), [1.0])
+                for m, weights in ((3, [0.5, 0.5]), (2, [0.2, 0.3, 0.5])):
+                    with pytest.raises(ValueError, match=f"{m} vectors but {len(weights)} weights"):
+                        call(np.arange(4.0 * m).reshape(m, 4), weights)
 
 
 def uniform_rows(vectors, bits, rotation):
@@ -288,6 +311,18 @@ class TestMbtcAggregate:
         estimate, charges = mbtc_aggregator(budget)(y, c, s)
         assert np.array_equal(res.estimate, estimate)
         assert np.array_equal(res.rate_report, charges)
+
+    def test_zero_mean_weights(self):
+        # The optimizer's lambda only scales its distortion traces, so weights
+        # that sum to 0 get the q of c = 1 and a finite estimate.
+        x = synthetic_sources(0.6, 4, 2000, seed=19)
+        c = np.array([0.5, -0.5, 0.25, -0.25])
+        budget = RateBudget(np.full(4, 2.0))
+        estimate, charges = mbtc_aggregator(budget)(x, c, 1)
+        assert np.isfinite(estimate).all() and np.isfinite(charges).all()
+        batch = DeviceUpdateBatch(x)
+        q = mbtc_aggregate(batch, c, budget, 1).q.q
+        assert np.array_equal(q, mbtc_aggregate(batch, np.ones(4), budget, 1).q.q)
 
     @pytest.mark.parametrize("M", [1, 3])
     def test_rate_report_is_the_singleton_rates(self, M):
