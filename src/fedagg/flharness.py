@@ -90,6 +90,13 @@ class QuadraticTask:
     def loss_star(self) -> float:
         return self.loss(self.theta_star)
 
+    def loss_gap(self, theta) -> float:
+        """L(theta) - L* as (theta - theta*)^T H (theta - theta*) / 2, equal on a
+        quadratic. The difference of the two losses cancels near the optimum
+        and can round below 0; this form keeps its relative accuracy there."""
+        d = np.asarray(theta, dtype=float) - self.theta_star
+        return float(d @ self.hessian @ d / 2)
+
 
 def smoothness_constants(task: QuadraticTask):
     """(omega, Omega): extreme eigenvalues of the global Hessian."""
@@ -117,7 +124,7 @@ def fl_round(theta, task: QuadraticTask, aggregator, eta: float, round_seed: int
 class TrainTrace:
     """Per-round diagnostics of one training run."""
 
-    loss_gap: np.ndarray  # L(theta^t) - L*, rounds 0..T
+    loss_gap: np.ndarray  # L(theta^t) - L* (QuadraticTask.loss_gap), rounds 0..T
     error_energy: np.ndarray  # ||e^(t)||^2 / N, rounds 0..T-1
     bound_value: np.ndarray  # recursion bound, rounds 0..T
     rate_reports: tuple
@@ -132,7 +139,7 @@ def run_training(task: QuadraticTask, aggregator, T: int, seed: int = 0) -> Trai
     eta = 1.0 / big_omega
     contraction = 1.0 - omega / big_omega
     theta = np.zeros(task.N)
-    gaps = [task.loss(theta) - task.loss_star]
+    gaps = [task.loss_gap(theta)]
     bounds = [gaps[0]]
     energies = []
     reports = []
@@ -142,7 +149,7 @@ def run_training(task: QuadraticTask, aggregator, T: int, seed: int = 0) -> Trai
         )
         energies.append(energy)
         reports.append(report)
-        gaps.append(task.loss(theta) - task.loss_star)
+        gaps.append(task.loss_gap(theta))
         bounds.append(contraction * bounds[-1] + energy * task.N / (2.0 * big_omega))
     return TrainTrace(
         loss_gap=np.array(gaps),

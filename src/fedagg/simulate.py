@@ -59,7 +59,8 @@ def measure_distortion(target, estimate) -> float:
     estimate = np.asarray(estimate, dtype=float)
     if target.shape != estimate.shape:
         raise ValueError(f"shape mismatch {target.shape} vs {estimate.shape}")
-    return float(np.sum((target - estimate) ** 2) / target.shape[0])
+    diff = target - estimate
+    return float(np.sum(np.square(diff, out=diff)) / target.shape[0])
 
 
 def mbtc_noise_surrogate(n: int, w, q_star, seed: int):
@@ -69,10 +70,12 @@ def mbtc_noise_surrogate(n: int, w, q_star, seed: int):
     qv = q_star.q if isinstance(q_star, MbtcParams) else np.asarray(q_star, dtype=float)
     if qv.shape != w.shape:
         raise ValueError(f"got {qv.size} test-channel variances for {w.size} combiner weights")
-    out = np.zeros(n)
+    out, z = np.zeros(n), np.empty(n)
     for m in np.flatnonzero(~np.isposinf(qv)):
         rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
-        out += w[m] * np.sqrt(qv[m]) * rng.standard_normal(n)
+        rng.standard_normal(out=z)
+        z *= w[m] * np.sqrt(qv[m])
+        out += z
     return out
 
 
@@ -130,7 +133,9 @@ def mbtc_aggregate(
         q = MbtcParams(np.full(batch.M, np.inf))
     w = mmse_combiner(model, q)
     noise = mbtc_noise_surrogate(batch.N, w, q, seed)
-    estimate = haar_derotate(noise, seed_stream(seed, "rotation")) + float(c @ batch.means)
+    estimate = haar_derotate(noise, seed_stream(seed, "rotation"))
+    del noise
+    estimate += float(c @ batch.means)
     for b in cols:
         estimate[b] += w @ (x[:, b] - mu)
     return AggregationResult(
@@ -269,6 +274,7 @@ def uniform_aggregator(bits_per_element: int):
         total = np.zeros(x.shape[1])
         for block, y in _apply_segments(x, rotation, inverse=False):
             total += c[block] @ _quantize_rotated(y, bits_per_element)
+            del y  # the block buffer is freed with the generator, before de-rotation
         charges = np.full(len(c), bits_per_element + SCALAR_BITS / x.shape[1])
         return haar_derotate(total, rotation), charges
 
@@ -314,5 +320,7 @@ def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
                 run_seed = seed_stream(seed, "run", scheme, float(rho), float(rate))
                 estimate, charges = aggregate(sources, c, run_seed)
                 dist = measure_distortion(target, estimate)
+                del estimate  # not held while the next aggregator runs
                 rows.append((scheme, float(rho), float(rate), float(np.max(charges)), dist, seed))
+        del sources, target  # not held while the next rho's stack is drawn
     return rows

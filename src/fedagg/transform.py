@@ -50,17 +50,26 @@ def _hartley(x: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    # One +-1 diagonal: the int64 draw of integers(0, 2, n), mapped in place.
+    d = rng.integers(0, 2, size=n)
+    d *= 2
+    d -= 1
+    return d.astype(np.int8)
+
+
 def _apply_segments(v, seed: int, inverse: bool, out=None):
     # Yields (block, y) per row block of v, a vector or row-stacked vectors:
     # y holds the block's rows rotated (inverse: de-rotated) in out[block],
     # or without out in one buffer that every block reuses. A block's full
     # segments take one batched transform and the tail one more, in views of
     # y (C-ordered rows) with block-sized complex scratch. The +-1 diagonals
-    # are drawn once per call, row by row (the bits of one (2, n) draw).
+    # are drawn once per call, row by row (the bits of one (2, n) draw), and
+    # held as int8 rows: a float times +-1 is exact, so the map is unchanged.
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
-    d1, d2 = (rng.integers(0, 2, size=n) * 2.0 - 1.0 for _ in range(2))
+    d1, d2 = (_signs(rng, n) for _ in range(2))
     full = n - n % DEFAULT_SEGMENT_LEN
     spans = [s for s in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)) if s[0] < s[1]]
     stacked = (math.prod(v.shape[:-1]), n)

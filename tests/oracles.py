@@ -305,6 +305,20 @@ def unrolled_bound(initial_gap: float, error_energies, omega: float, big_omega: 
     return out
 
 
+def absolute_loss(task, theta) -> float:
+    """The task's loss with every product and sum taken in absolute value:
+    sum_m w_m || |A_m| |theta| + |y_m| ||^2 / (2 K_m) + mu ||theta||^2 / 2.
+    Rounding moves a computed loss by at most about (N + K + 2) eps times
+    this, K the largest sample count (each residual entry is an N-term dot
+    product, each squared norm a K-term sum)."""
+    theta = np.abs(np.asarray(theta, dtype=float))
+    total = 0.0
+    for w, a, y in zip(task.weights, task.designs, task.targets):
+        r = np.abs(a) @ theta + np.abs(y)
+        total += w * (r @ r / (2 * a.shape[0]) + task.mu * theta @ theta / 2)
+    return float(total)
+
+
 @dataclass(frozen=True)
 class Assumption1Spec:
     """Linear-combination source model: updates = coefficients @ base vectors."""

@@ -219,6 +219,15 @@ class TestFlTrain:
                     "--aggregator", "mbtc", "--budget", "2", "--seed", "1",
                     "--out", str(tmp_path / "out.csv")]) == 0
 
+    def test_loss_gaps_are_never_negative(self, capsys, tmp_path):
+        # One device in one dimension reaches its optimum in the first round,
+        # where L(theta) - L* rounded to -1.73e-18.
+        out = tmp_path / "out.csv"
+        assert run(["fl-train", "--devices", "1", "--dim", "1", "--rounds", "2",
+                    "--aggregator", "mbtc", "--budget", "1", "--seed", "1", "--out", str(out)]) == 0
+        gaps = [float(row.split(",")[1]) for row in result_rows(out)[1:]]
+        assert len(gaps) == 2 and min(gaps) >= 0.0
+
     @pytest.mark.parametrize("spec, rate_max", [("error-free", "inf"), ("uniform:2", "10")])
     def test_aggregator_specs(self, capsys, tmp_path, spec, rate_max):
         # uniform:2 charges 2 bits plus one 64-bit scale over dim 8.

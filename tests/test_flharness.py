@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedagg.flharness import (
     QuadraticTask,
@@ -16,7 +17,7 @@ from fedagg.flharness import (
     uniform_aggregator,
 )
 from fedagg.model import RateBudget
-from oracles import power_iteration_extremes, unrolled_bound
+from oracles import absolute_loss, power_iteration_extremes, unrolled_bound
 
 
 class TestTask:
@@ -52,6 +53,30 @@ class TestTask:
         )
         with pytest.raises(ValueError):
             smoothness_constants(task)
+
+
+class TestLossGap:
+    @settings(max_examples=200)
+    @given(
+        M=st.integers(1, 4),
+        N=st.integers(1, 8),
+        K=st.integers(1, 12),
+        log_mu=st.floats(-4.0, 1.0),
+        log_step=st.floats(-14.0, 4.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_quadratic_form_matches_loss_difference(self, M, N, K, log_mu, log_step, seed):
+        task = random_task(M, N, samples_per_device=K, seed=seed, mu=10.0**log_mu)
+        theta = task.theta_star + 10.0**log_step * np.random.default_rng(seed).standard_normal(N)
+        gap = task.loss_gap(theta)
+        assert gap >= 0.0
+        # L(theta) - L* cancels: each loss carries up to (N + K + 2) eps of its
+        # absolute-value form. Over 40,000 draws of these ranges the two gaps
+        # differed by at most 0.54 of that bound, and by up to 164 eps of
+        # L(theta) + L*, so the loss itself is no scale for the error.
+        eps = np.finfo(float).eps
+        bound = (N + K + 2) * eps * (absolute_loss(task, theta) + absolute_loss(task, task.theta_star))
+        assert abs(gap - (task.loss(theta) - task.loss_star)) <= bound
 
 
 class TestLocalGradient:

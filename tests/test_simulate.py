@@ -519,14 +519,18 @@ class TestPeakMemory:
     """Peak bytes that one call allocates, in units of the (10, 2^17) float64
     device stack it is given; tracemalloc sees numpy's array buffers. No call
     copies the stack: each pass takes it in blocks (here one row, or 13,107
-    columns for mbtc), so its temporaries cost a block, not a stack. A
-    rotation holds its output, the +-1 diagonals and one block's complex
-    scratch (1.32). The aggregators hold a fraction of one stack: mbtc its
-    combined noise while it is de-rotated (0.52); the uniform aggregator one
-    rotated block, its (N,) sum and then that sum's de-rotation (0.62); the
-    QSGD aggregator its sum and three reused quantizer rows (0.40). A sweep
-    row, whose sources are counted, holds the sources plus the largest of
-    these (1.82)."""
+    columns for mbtc), so its temporaries cost a block, not a stack, and no
+    buffer is held past its last use. The +-1 diagonals are int8 rows, a
+    byte a sign. A rotation holds its output, one block's complex scratch,
+    the sign rows and numpy's cast buffers for the int8 factors (1.16);
+    de-rotating one row holds the same at row size (2.4 rows, 0.24 stacks).
+    The aggregators hold a fraction of one stack: mbtc its combined noise
+    while it is de-rotated (0.35); the uniform aggregator one rotated block
+    and its (N,) sum, so its forward pass sets its peak (0.43); the QSGD
+    aggregator its sum and three reused quantizer rows (0.40). A sweep row,
+    whose sources are counted, holds the sources plus the largest of these
+    (1.53), and a two-rho row the same: one rho's sources and target are
+    dropped before the next rho's are drawn."""
 
     M, N = 10, 2**17
 
@@ -537,13 +541,18 @@ class TestPeakMemory:
     @pytest.mark.parametrize(
         "call, bound",
         [
-            (lambda x: haar_rotate(x, 7), 1.6),
-            (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 0.6),
-            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 0.7),
+            (lambda x: haar_rotate(x, 7), 1.2),
+            (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 0.4),
+            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 0.5),
             (lambda x: qsgd_aggregator(3)(x, np.full(10, 0.1), 7), 0.5),
-            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.9),
+            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.6),
+            (lambda x: haar_derotate(x[0], 7), 0.3),
+            (lambda x: sweep_distortion((0.5, 0.9), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.6),
         ],
-        ids=["haar_rotate", "mbtc_aggregator", "uniform_aggregator", "qsgd_aggregator", "sweep_row"],
+        ids=[
+            "haar_rotate", "mbtc_aggregator", "uniform_aggregator", "qsgd_aggregator", "sweep_row",
+            "haar_derotate_row", "sweep_two_rho_row",
+        ],
     )
     def test_peak_in_device_stacks(self, stack, call, bound):
         tracemalloc.start()

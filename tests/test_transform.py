@@ -151,6 +151,16 @@ def test_in_place_passes_equal_allocating_passes(shape):
     assert np.array_equal(haar_derotate(v, 19), allocating_segments(v, 19, inverse=True))
 
 
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2**64 - 1), data_seed=st.integers(0, 2**32 - 1))
+def test_long_rows_equal_allocating_passes(seed, data_seed):
+    # 128 full segments and a 77-long tail per row, each row a block of its
+    # own: the int8 sign rows of every seed flip the same bits as float ones.
+    v = np.random.default_rng(data_seed).standard_normal((3, 2**17 + 77))
+    assert np.array_equal(haar_rotate(v, seed), allocating_segments(v, seed))
+    assert np.array_equal(haar_derotate(v, seed), allocating_segments(v, seed, inverse=True))
+
+
 class TestRowBlocks:
     def test_blocks_hold_whole_rows(self):
         assert transform.row_blocks(10, 2**17) == [slice(m, m + 1) for m in range(10)]
