@@ -28,11 +28,18 @@ rows left out, keep the barrier's gap certificate valid for the full
 surrogate. The barrier certifies a restricted problem even where it is
 degenerate and the full one is not (a row touching the optimum with a zero
 multiplier).
+
+The barrier's stopping tests and slack floor are absolute, so both
+optimizers solve at unit scale: Sigma (or sigma2) divided by the power of two
+s nearest trace(Sigma) / M, with the floor q >= Q_MIN moved to Q_MIN / s. The
+rates do not change when Sigma and q scale together, and a power of two
+scales exactly, so q, the distortion and the traces come back times s.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +49,7 @@ from .errors import SolverError
 from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
 from .region import (
     LOG2E,
+    _qvec,
     _required_bits,
     all_subsets,
     by_complement_size,
@@ -58,7 +66,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SurrogateProblem:
-    """Convex surrogate: minimize sum b_m^2 q_m s.t. linear-minus-log rate rows.
+    """Convex surrogate: minimize sum b_m^2 q_m s.t. linear-minus-log rate rows
+    and q >= q_min.
 
     Row i reads: linear_weights[i] . q - 0.5 * log_weights[i] . log2(q)
     + constants[i] <= budgets[i]; in ``build_surrogate`` row i is subset mask
@@ -71,6 +80,7 @@ class SurrogateProblem:
     constants: np.ndarray  # (n,)
     budgets: np.ndarray  # (n,)
     expansion_point: np.ndarray
+    q_min: float = Q_MIN  # the floor in the surrogate's units (module docstring)
 
     def value(self, q):
         logs = self.log_weights @ np.log2(q)
@@ -94,11 +104,11 @@ class SurrogateProblem:
 
 
 def build_surrogate(
-    model: GaussianSourceModel, budget: RateBudget, q_hat
+    model: GaussianSourceModel, budget: RateBudget, q_hat, q_min: float = Q_MIN
 ) -> SurrogateProblem:
     """Expand all 2^M - 1 rate constraints at q_hat (tangent rows, see the
     module docstring); q_hat must be feasible."""
-    qv = (q_hat if isinstance(q_hat, MbtcParams) else MbtcParams(q_hat)).q
+    qv = _qvec(q_hat)
     members = all_subsets(model.M)
     budgets = members @ budget.r
     bits = _required_bits(model, qv, members)
@@ -119,12 +129,13 @@ def build_surrogate(
         constants=bits - lin @ qv + 0.5 * members @ np.log2(qv),
         budgets=budgets,
         expansion_point=qv.copy(),
+        q_min=q_min,
     )
 
 
-def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
+def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> np.ndarray:
     """Solve the convex surrogate on a working set of its rows; every row holds
-    at the returned point.
+    at the returned q, which is in the surrogate's units.
 
     work is a boolean row mask that the caller keeps for a whole MM run; an
     empty one is seeded with every row when there are at most 4 * dim of
@@ -133,7 +144,7 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
     rows. While the result breaks rows outside work, up to 2 * dim of the
     most violated join work and the solve repeats.
     """
-    q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
+    q0 = interior_start(problem.value, problem.expansion_point, problem.q_min)
     batch = 2 * q0.shape[0]
     if not work.any():
         rows = np.argsort(problem.value(q0))[-batch:] if work.size > 2 * batch else slice(None)
@@ -141,7 +152,8 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
     solves = added = 0
     while True:
         solves += 1
-        q = minimize_linear(problem.objective_weights, problem.restrict(work), q0, x_min=Q_MIN)
+        q = minimize_linear(
+            problem.objective_weights, problem.restrict(work), q0, x_min=problem.q_min)
         g = problem.value(q)
         violated = np.flatnonzero((g > 0) & ~work)
         if not violated.size:
@@ -151,7 +163,7 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> MbtcParams:
     logger.debug(
         "working set: %d of %d rows, %d restricted solves, %d rows added",
         int(work.sum()), work.size, solves, added)
-    return MbtcParams(q)
+    return q
 
 
 def doubling_start(alpha: float, dim: int, feasible) -> np.ndarray:
@@ -166,9 +178,18 @@ def doubling_start(alpha: float, dim: int, feasible) -> np.ndarray:
 
 
 def find_feasible_init(model: GaussianSourceModel, budget: RateBudget) -> MbtcParams:
-    """Uniform q = alpha*1, doubling alpha from trace/M until feasible."""
-    alpha = float(np.trace(model.sigma_x)) / model.M
+    """Uniform q = alpha*1, doubling alpha from trace/M (from 1 if the trace
+    is 0) until feasible."""
+    alpha = float(np.trace(model.sigma_x)) / model.M or 1.0
     return MbtcParams(doubling_start(alpha, model.M, lambda q: is_feasible(model, q, budget)[0]))
+
+
+def unit_scale(mean_variance: float) -> float:
+    """The power of two nearest mean_variance (trace/M) in log2, by which
+    both optimizers divide their model; 1 if mean_variance is 0 or infinite."""
+    if not 0.0 < mean_variance < np.inf:
+        return 1.0
+    return 2.0 ** round(math.log2(mean_variance))
 
 
 @dataclass(frozen=True)
@@ -219,22 +240,24 @@ def optimize(
     max_iter: int = 200,
 ) -> OptimizeResult:
     """MM loop: surrogate construction + barrier solve until the fractional
-    increase of the original objective drops below eps."""
+    increase of the original objective drops below eps; run at unit scale
+    (module docstring)."""
     check_eps(eps)
-    q0 = find_feasible_init(model, budget).q
+    scale = unit_scale(float(np.trace(model.sigma_x)) / model.M)
+    unit = model if scale == 1.0 else replace(model, sigma_x=model.sigma_x / scale)
+    q0 = find_feasible_init(unit, budget).q
     work = np.zeros((1 << model.M) - 1, dtype=bool)  # one flag per all_subsets row
     q, trace, iterates, iterations = mm_loop(
         q0,
-        lambda q: float(model.sigma_x @ model.c @ mmse_combiner(model, q)),
-        lambda q: solve_surrogate(build_surrogate(model, budget, q), work).q,
+        lambda q: float(unit.sigma_x @ unit.c @ mmse_combiner(unit, q)),
+        lambda q: solve_surrogate(build_surrogate(unit, budget, q, Q_MIN / scale), work),
         eps,
         max_iter,
     )
-    q = MbtcParams(q)
     return OptimizeResult(
-        q=q,
-        distortion=distortion(model, q),
-        trace=trace,
+        q=MbtcParams(q * scale),
+        distortion=distortion(unit, q) * scale,
+        trace=tuple(t * scale for t in trace),
         iterations=iterations,
-        iterates=iterates,
+        iterates=tuple(x * scale for x in iterates),
     )

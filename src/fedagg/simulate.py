@@ -114,6 +114,8 @@ def mbtc_aggregate(
     auxiliary noise, combine. All devices share the public rotation R of
     seed_stream(seed, "rotation"), so R^-1 (w @ (R x + z)) = w @ x +
     R^-1 (w @ z): only the noise is de-rotated."""
+    if budget.r.shape != (batch.M,):
+        raise ValueError(f"{batch.M} vectors but a budget of {budget.r.size} rates")
     c, x, mu = np.asarray(c, dtype=float), batch.updates, batch.means[:, None]
     # Column blocks, each mean-removed on its own: no copy of the stack is made.
     cols = row_blocks(batch.N, batch.M)
@@ -211,7 +213,9 @@ def rotated_uniform_quantize(v, bits_per_element: int, seed: int):
 def _stack(vectors, c):
     """The checked (M, N) float stack of the device vectors and their M
     weights. A float array is not copied; a list of equal-length vectors is
-    stacked once. Raises ValueError on ragged rows or on a weight count off M."""
+    stacked once. Raises ValueError on ragged rows, on a stack with no device
+    or no coordinate, on a weight count off M and on a non-finite weight; the
+    vectors' values are not scanned, which would take a pass over the stack."""
     if not isinstance(vectors, np.ndarray) and len({np.shape(v) for v in vectors}) > 1:
         raise ValueError("all vectors must share one length")
     x, c = np.asarray(vectors, dtype=float), np.asarray(c, dtype=float)
@@ -219,6 +223,10 @@ def _stack(vectors, c):
         raise ValueError(f"expected an (M, N) stack of device vectors, got shape {x.shape}")
     if c.shape != x.shape[:1]:
         raise ValueError(f"{x.shape[0]} vectors but {c.size} weights")
+    if not x.size:
+        raise ValueError(f"expected at least one device and one coordinate, got shape {x.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("weights must be finite")
     return x, c
 
 
@@ -313,14 +321,15 @@ def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
     c = np.full(M, 1.0 / M)
     for rho in rhos:
         sources = synthetic_sources(rho, M, N, seed_stream(seed, "sources", float(rho)))
-        target = baseline_aggregate(sources, c)
         for rate in rates:
             for scheme in schemes:
                 aggregate = _SWEEP_AGGREGATORS[scheme](M, float(rate))
                 run_seed = seed_stream(seed, "run", scheme, float(rho), float(rate))
                 estimate, charges = aggregate(sources, c, run_seed)
-                dist = measure_distortion(target, estimate)
+                # The target is formed for this measurement only, so no (N,)
+                # row is held while an aggregator runs.
+                dist = measure_distortion(baseline_aggregate(sources, c), estimate)
                 del estimate  # not held while the next aggregator runs
                 rows.append((scheme, float(rho), float(rate), float(np.max(charges)), dist, seed))
-        del sources, target  # not held while the next rho's stack is drawn
+        del sources  # not held while the next rho's stack is drawn
     return rows

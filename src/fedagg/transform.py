@@ -63,9 +63,11 @@ def _apply_segments(v, seed: int, inverse: bool, out=None):
     # y holds the block's rows rotated (inverse: de-rotated) in out[block],
     # or without out in one buffer that every block reuses. A block's full
     # segments take one batched transform and the tail one more, in views of
-    # y (C-ordered rows) with block-sized complex scratch. The +-1 diagonals
-    # are drawn once per call, row by row (the bits of one (2, n) draw), and
-    # held as int8 rows: a float times +-1 is exact, so the map is unchanged.
+    # y (C-ordered rows), each with complex scratch of its own size that is
+    # freed before the block is yielded: the caller's work on y never runs
+    # beside it. The +-1 diagonals are drawn once per call, row by row (the
+    # bits of one (2, n) draw), and held as int8 rows: a float times +-1 is
+    # exact, so the map is unchanged.
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
@@ -76,16 +78,17 @@ def _apply_segments(v, seed: int, inverse: bool, out=None):
     rows, blocks = v.reshape(stacked), row_blocks(*stacked)
     step = blocks[0].stop if blocks else 0
     dest = np.empty((step, n)) if out is None else out.reshape(stacked)
-    scratch = [np.empty((step, (hi - lo) // seg, seg // 2 + 1), complex) for lo, hi, seg in spans]
     for block in blocks:
         k = block.stop - block.start
         y_rows = dest[:k] if out is None else dest[block]
-        for (lo, hi, seg), f in zip(spans, scratch):
+        for lo, hi, seg in spans:
             s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
             x, y = (a[:, lo:hi].reshape(k, -1, seg) for a in (rows[block], y_rows))
-            _hartley(x if inverse else np.multiply(s1, x, out=y), y, f[:k])
+            f = np.empty((k, (hi - lo) // seg, seg // 2 + 1), complex)
+            _hartley(x if inverse else np.multiply(s1, x, out=y), y, f)
             y *= s2
-            _hartley(y, y, f[:k])
+            _hartley(y, y, f)
+            del f
             if inverse:
                 y *= s1
         yield block, y_rows

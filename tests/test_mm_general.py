@@ -19,7 +19,7 @@ from fedagg.mm_general import (
     optimize,
     solve_surrogate,
 )
-from fedagg.mm_symmetric import _build_surrogate, enumerate_selections, theta
+from fedagg.mm_symmetric import _build_surrogate, enumerate_selections, optimize_symmetric, theta
 from fedagg.model import (
     Q_MIN,
     GaussianSourceModel,
@@ -236,7 +236,7 @@ class TestWorkingSet:
         work = np.zeros((1 << M) - 1, dtype=bool)
         for _ in range(2):  # an empty mask, then the one the first solve left
             problem = build_surrogate(model, budget, q)
-            q = solve_surrogate(problem, work).q
+            q = solve_surrogate(problem, work)
             assert_matches_full_row_solve(problem, q)
 
     @settings(max_examples=40, deadline=None)
@@ -260,7 +260,7 @@ class TestWorkingSet:
         work = np.zeros(sel.shape[0], dtype=bool)
         for _ in range(2):
             problem = _build_surrogate(model, sel, q)
-            q = solve_surrogate(problem, work).q
+            q = solve_surrogate(problem, work)
             assert_matches_full_row_solve(problem, q)
 
     def test_certifies_a_zero_multiplier_row(self, caplog):
@@ -348,6 +348,54 @@ class TestOptimize:
         )
         with pytest.raises(ValueError, match="eps"):
             optimize(model, RateBudget(np.array([1.0, 1.5])), eps=eps)
+
+    def test_zero_covariance(self):
+        # A zero covariance is PSD: every rate is 0 at any q, so the start
+        # (doubled from 1, not from trace/M = 0) is feasible and the target
+        # carries no variance to lose.
+        model = GaussianSourceModel(sigma_x=np.zeros((2, 2)), c=np.ones(2))
+        budget = RateBudget(np.ones(2))
+        res = optimize(model, budget)
+        assert np.isfinite(res.q.q).all()
+        assert is_feasible(model, res.q, budget)[0]
+        assert res.distortion == 0.0
+
+
+def general_scale_model(j: int):
+    """Four devices, Sigma = 2^j G G' / 7 with G ~ N(0, 1)^{4 x 7} from
+    default_rng([3, 1]), c = 1 and budgets (1, 1.5, 0.7, 2)."""
+    g = np.random.default_rng([3, 1]).standard_normal((4, 7))
+    model = GaussianSourceModel(sigma_x=2.0**j * (g @ g.T) / 7, c=np.ones(4))
+    return model, RateBudget(np.array([1.0, 1.5, 0.7, 2.0]))
+
+
+def grouped_scale_model(j: int) -> SymmetricSourceModel:
+    """The optimize benchmark's 3 x 20 grouped model at sigma2 = 2^j."""
+    return SymmetricSourceModel(rho=0.9, sigma2=2.0**j, groups=((20, 1.0), (20, 2.0), (20, 3.0)))
+
+
+class TestScaleFree:
+    """Both optimizers solve at unit scale, so a model scaled by 2^j gets the
+    unit model's answer scaled by 2^j; the barrier's absolute constants once
+    failed them on small-scale models (2^-14 here, 2^-7 grouped)."""
+
+    @settings(max_examples=40)
+    @given(j=st.integers(-24, 4))
+    def test_solves_at_every_scale(self, j):
+        model, budget = general_scale_model(j)
+        res = optimize(model, budget)
+        members = all_subsets(model.M)
+        assert (_required_bits(model, res.q, members) - members @ budget.r).max() <= 1e-9
+        unit = optimize(*general_scale_model(0)).distortion
+        assert res.distortion / 2.0**j == pytest.approx(unit, rel=1e-6, abs=0.0)
+
+        sym = grouped_scale_model(j)
+        res = optimize_symmetric(sym, 1 / 60)
+        sel = enumerate_selections(sym.group_sizes)
+        rows = theta(sym.rho, sym.sigma2, sym.group_sizes, res.q_groups, sel) - sel @ sym.group_rates
+        assert rows.max() <= 1e-9
+        unit = optimize_symmetric(grouped_scale_model(0), 1 / 60).distortion
+        assert res.distortion / 2.0**j == pytest.approx(unit, rel=1e-6, abs=0.0)
 
 
 class TestMmLoop:

@@ -251,7 +251,7 @@ class TestOptimizeSymmetric:
             calls.append(1)
             if len(calls) == 1:
                 return solver(problem, work)
-            return MbtcParams(2.0 * problem.expansion_point)
+            return 2.0 * problem.expansion_point
 
         monkeypatch.setattr(mm_symmetric, "solve_surrogate", worse_second)
         model = SymmetricSourceModel(rho=0.8, sigma2=1.0, groups=((3, 1.0), (2, 2.0)))

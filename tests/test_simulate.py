@@ -189,8 +189,9 @@ class TestBaselineAggregate:
 
     def test_shape_errors_through_a_streaming_aggregator(self):
         # Every aggregator and the baseline sum check the stack up front: ragged
-        # rows and a weight count off the row count raise before any
-        # quantizer, rotation or optimizer call.
+        # rows, a weight count off the row count, an empty stack, a non-finite
+        # weight and (mbtc) a budget length off the row count raise before
+        # any quantizer, rotation, Gram pass or optimizer call.
         calls = {
             "baseline": lambda x, c: baseline_aggregate(x, c),
             "error_free": lambda x, c: error_free_aggregator()(x, c, 1),
@@ -204,7 +205,9 @@ class TestBaselineAggregate:
 
         with mock.patch.object(simulate, "qsgd_quantize", no_work), mock.patch.object(
             simulate, "_apply_segments", no_work
-        ), mock.patch.object(mm_symmetric, "optimize_symmetric", no_work):
+        ), mock.patch.object(simulate, "row_blocks", no_work), mock.patch.object(
+            mm_symmetric, "optimize_symmetric", no_work
+        ):
             for call in calls.values():
                 with pytest.raises(ValueError, match="share one length"):
                     call([np.ones(3), np.ones(4)], [0.5, 0.5])
@@ -213,6 +216,15 @@ class TestBaselineAggregate:
                 for m, weights in ((3, [0.5, 0.5]), (2, [0.2, 0.3, 0.5])):
                     with pytest.raises(ValueError, match=f"{m} vectors but {len(weights)} weights"):
                         call(np.arange(4.0 * m).reshape(m, 4), weights)
+                for shape in ((3, 0), (0, 4)):
+                    with pytest.raises(ValueError, match="at least one device and one coordinate"):
+                        call(np.zeros(shape), np.ones(shape[0]))
+                for bad in (np.nan, np.inf):
+                    with pytest.raises(ValueError, match="weights must be finite"):
+                        call(np.arange(12.0).reshape(3, 4), [0.5, bad, 0.5])
+            for rates in ([2.0, 2.0], [2.0] * 4):
+                with pytest.raises(ValueError, match=f"3 vectors but a budget of {len(rates)} rates"):
+                    mbtc_aggregator(RateBudget(rates))(np.arange(12.0).reshape(3, 4), np.ones(3), 1)
 
 
 def uniform_rows(vectors, bits, rotation):
@@ -311,6 +323,19 @@ class TestMbtcAggregate:
         estimate, charges = mbtc_aggregator(budget)(y, c, s)
         assert np.array_equal(res.estimate, estimate)
         assert np.array_equal(res.rate_report, charges)
+
+    def test_small_scale_updates(self):
+        # FL-sized updates (sources times 1e-3) once made the grouped barrier
+        # give up; the optimizer now solves at unit scale, so the charges and
+        # the estimate are those of the unscaled stack, scaled.
+        x = synthetic_sources(0.8, 4, 4096, 3)
+        aggregate = mbtc_aggregator(RateBudget([1.0, 2.0, 1.0, 3.0]))
+        c = np.full(4, 0.25)
+        estimate, charges = aggregate(x, c, 1)
+        small_estimate, small_charges = aggregate(x * 1e-3, c, 1)
+        np.testing.assert_allclose(small_charges, charges, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(small_estimate / 1e-3, estimate, rtol=0.0,
+                                   atol=1e-9 * np.abs(estimate).max())
 
     def test_zero_mean_weights(self):
         # The optimizer's lambda only scales its distortion traces, so weights
@@ -521,16 +546,18 @@ class TestPeakMemory:
     copies the stack: each pass takes it in blocks (here one row, or 13,107
     columns for mbtc), so its temporaries cost a block, not a stack, and no
     buffer is held past its last use. The +-1 diagonals are int8 rows, a
-    byte a sign. A rotation holds its output, one block's complex scratch,
-    the sign rows and numpy's cast buffers for the int8 factors (1.16);
-    de-rotating one row holds the same at row size (2.4 rows, 0.24 stacks).
-    The aggregators hold a fraction of one stack: mbtc its combined noise
-    while it is de-rotated (0.35); the uniform aggregator one rotated block
-    and its (N,) sum, so its forward pass sets its peak (0.43); the QSGD
-    aggregator its sum and three reused quantizer rows (0.40). A sweep row,
-    whose sources are counted, holds the sources plus the largest of these
-    (1.53), and a two-rho row the same: one rho's sources and target are
-    dropped before the next rho's are drawn."""
+    byte a sign. A rotation holds its output, one block's complex scratch
+    while that block is transformed, the sign rows and numpy's cast buffers
+    for the int8 factors (1.16); de-rotating one row holds the same at row
+    size (2.4 rows, 0.24 stacks). The aggregators hold a fraction of one
+    stack: mbtc its combined noise while it is de-rotated (0.35); the
+    uniform aggregator one rotated block and its (N,) sum, with no FFT
+    scratch left beside the quantizer (0.35); the QSGD aggregator its sum and
+    three reused quantizer rows (0.40). A sweep row, whose sources are
+    counted, holds the sources plus the largest of these (1.40): it keeps no
+    target row while an aggregator runs, but forms c @ sources for each
+    measurement only. A two-rho row holds the same, since one rho's sources
+    are dropped before the next rho's are drawn."""
 
     M, N = 10, 2**17
 
@@ -543,11 +570,11 @@ class TestPeakMemory:
         [
             (lambda x: haar_rotate(x, 7), 1.2),
             (lambda x: mbtc_aggregator(RateBudget(np.full(10, 2.0)))(x, np.full(10, 0.1), 7), 0.4),
-            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 0.5),
+            (lambda x: uniform_aggregator(2)(x, np.full(10, 0.1), 7), 0.4),
             (lambda x: qsgd_aggregator(3)(x, np.full(10, 0.1), 7), 0.5),
-            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.6),
+            (lambda x: sweep_distortion((0.9,), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.45),
             (lambda x: haar_derotate(x[0], 7), 0.3),
-            (lambda x: sweep_distortion((0.5, 0.9), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.6),
+            (lambda x: sweep_distortion((0.5, 0.9), (2.0,), *x.shape, 1, ("mbtc", "qsgd", "uniform")), 1.45),
         ],
         ids=[
             "haar_rotate", "mbtc_aggregator", "uniform_aggregator", "qsgd_aggregator", "sweep_row",
