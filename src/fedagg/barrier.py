@@ -4,8 +4,11 @@ Minimizes f'x subject to smooth convex rows g(x) <= 0 and the linear rows
 x_min - x <= 0 by Mehrotra's predictor-corrector (SIAM J. Optim. 1992;
 Wright, Primal-Dual Interior-Point Methods, SIAM 1997) on the slack form
 g(x) + s = 0 (Nocedal & Wright, Numerical Optimization, ch. 19), from
-s = max(-g(x0), 1e-3) and lambda = mu0 / s, mu0 fitting f + J'lambda = 0:
-slacks that start near zero would shrink out of step with the dual residual.
+lambda = mu0 / s, mu0 fitting f + J'lambda = 0. The rows g start at
+s = max(-g(x0), 1e-3): they read in bits, and slacks that start near zero
+would shrink out of step with the dual residual. The floor rows start at their
+own slack x0 - x_min, which reads in units of x; a floor of 1e-3 there would
+start a small x far off its floor rows and stall the solve.
 Each iteration takes R from one QR of [sqrt(lambda / s) J; sqrt(H)], H
 diagonal, and solves R'R dx = rhs with two general (pivoted LU) solves, on R'
 and then on R, for the predictor and the corrector (centering
@@ -82,7 +85,7 @@ def minimize_linear(f, cons, x0, x_min=0.0):
     if not (g < 0).all():
         raise SolverError("initial point is not strictly feasible", last_iterate=x)
     n_cons = g.shape[0] - dim
-    s = np.maximum(-g, SLACK_FLOOR)
+    s = np.concatenate([np.maximum(-g[:n_cons], SLACK_FLOOR), -g[n_cons:]])
     v = jac.T @ (1.0 / s)
     mu0 = -float(f @ v) / max(float(v @ v), np.finfo(float).tiny)
     lam = (mu0 if mu0 > 0 else 1.0) / s

@@ -91,24 +91,26 @@ def _per_device_values(text, M, flag, shared=False) -> np.ndarray:
 
 
 def _load_model(args):
-    """--model and its --budget, None for a symmetric model (its groups set the rates)."""
+    """--model with its --budget and --lam: (model, budget, None) for a general
+    model, (model, None, lam) for a symmetric one (its groups set the rates;
+    lam defaults to 1)."""
     with open(args.model) as fh:
         model = load_model(fh.read())
     if isinstance(model, SymmetricSourceModel):
         if args.budget is not None:
             raise ValueError("--budget does not apply to a symmetric model's group rates")
-        return model, None
+        return model, None, 1.0 if args.lam is None else args.lam
+    if args.lam is not None:
+        raise ValueError("--lam does not apply to a general model")
     if args.budget is None:
         raise ValueError("--budget is required for a general model")
-    return model, RateBudget(_per_device_values(args.budget, model.M, "--budget"))
+    return model, RateBudget(_per_device_values(args.budget, model.M, "--budget")), None
 
 
 def cmd_optimize(args) -> int:
-    model, budget = _load_model(args)
+    model, budget, lam = _load_model(args)
     if budget is None:
-        res = mm_symmetric.optimize_symmetric(
-            model, args.lam, eps=args.eps, max_iter=args.max_iter
-        )
+        res = mm_symmetric.optimize_symmetric(model, lam, eps=args.eps, max_iter=args.max_iter)
         trace = res.objective_trace
     else:
         res = mm_general.optimize(model, budget, eps=args.eps, max_iter=args.max_iter)
@@ -127,7 +129,7 @@ def cmd_optimize(args) -> int:
         ["iteration", "objective"],
         [(i, float(v)) for i, v in enumerate(trace)],
         {"command": "optimize", "model": args.model, "budget": args.budget,
-         "lambda": args.lam, "eps": args.eps, "max_iter": args.max_iter},
+         "lambda": lam, "eps": args.eps, "max_iter": args.max_iter},
         csv_suffix="_trace.csv",
     )
     print(json.dumps(payload))
@@ -235,9 +237,9 @@ def _builtin_verify() -> int:
 def cmd_verify(args) -> int:
     if args.model is None:
         return _builtin_verify()
-    model, budget = _load_model(args)
+    model, budget, lam = _load_model(args)
     if budget is None:
-        model, budget = model.expand(args.lam)
+        model, budget = model.expand(lam)
     if args.q is None:
         raise ValueError("--q is required with --model")
     q = MbtcParams(_per_device_values(args.q, model.M, "--q"))
@@ -252,7 +254,7 @@ def cmd_verify(args) -> int:
              "slack [bits/symbol]"],
             rows,
             {"command": "verify", "model": args.model, "budget": args.budget,
-             "q": args.q, "lambda": args.lam},
+             "q": args.q, "lambda": lam},
         )
     return 0
 
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run an MM optimizer on a model JSON")
     p_opt.add_argument("--model", required=True)
     p_opt.add_argument("--budget", help="comma list of per-device rates (bits/symbol)")
-    p_opt.add_argument("--lam", type=float, default=1.0)
+    p_opt.add_argument("--lam", type=float, help="symmetric models only (default 1)")
     p_opt.add_argument("--eps", type=float, default=1e-6)
     p_opt.add_argument("--max-iter", type=_positive_int, default=200)
     p_opt.add_argument("--out")
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--model")
     p_ver.add_argument("--q", help="comma list of MBTC parameters")
     p_ver.add_argument("--budget")
-    p_ver.add_argument("--lam", type=float, default=1.0)
+    p_ver.add_argument("--lam", type=float, help="symmetric models only (default 1)")
     p_ver.add_argument("--out")
     p_ver.set_defaults(fn=cmd_verify)
     return parser

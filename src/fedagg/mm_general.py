@@ -28,18 +28,11 @@ rows left out, keep the barrier's gap certificate valid for the full
 surrogate. The barrier certifies a restricted problem even where it is
 degenerate and the full one is not (a row touching the optimum with a zero
 multiplier).
-
-The barrier's stopping tests and slack floor are absolute, so both
-optimizers solve at unit scale: Sigma (or sigma2) divided by the power of two
-s nearest trace(Sigma) / M, with the floor q >= Q_MIN moved to Q_MIN / s. The
-rates do not change when Sigma and q scale together, and a power of two
-scales exactly, so q, the distortion and the traces come back times s.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +60,7 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SurrogateProblem:
     """Convex surrogate: minimize sum b_m^2 q_m s.t. linear-minus-log rate rows
-    and q >= q_min.
+    and q >= Q_MIN.
 
     Row i reads: linear_weights[i] . q - 0.5 * log_weights[i] . log2(q)
     + constants[i] <= budgets[i]; in ``build_surrogate`` row i is subset mask
@@ -80,7 +73,6 @@ class SurrogateProblem:
     constants: np.ndarray  # (n,)
     budgets: np.ndarray  # (n,)
     expansion_point: np.ndarray
-    q_min: float = Q_MIN  # the floor in the surrogate's units (module docstring)
 
     def value(self, q):
         logs = self.log_weights @ np.log2(q)
@@ -103,9 +95,7 @@ class SurrogateProblem:
         )
 
 
-def build_surrogate(
-    model: GaussianSourceModel, budget: RateBudget, q_hat, q_min: float = Q_MIN
-) -> SurrogateProblem:
+def build_surrogate(model: GaussianSourceModel, budget: RateBudget, q_hat) -> SurrogateProblem:
     """Expand all 2^M - 1 rate constraints at q_hat (tangent rows, see the
     module docstring); q_hat must be feasible."""
     qv = _qvec(q_hat)
@@ -129,13 +119,12 @@ def build_surrogate(
         constants=bits - lin @ qv + 0.5 * members @ np.log2(qv),
         budgets=budgets,
         expansion_point=qv.copy(),
-        q_min=q_min,
     )
 
 
 def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> np.ndarray:
     """Solve the convex surrogate on a working set of its rows; every row holds
-    at the returned q, which is in the surrogate's units.
+    at the returned q.
 
     work is a boolean row mask that the caller keeps for a whole MM run; an
     empty one is seeded with every row when there are at most 4 * dim of
@@ -144,7 +133,7 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> np.ndarray:
     rows. While the result breaks rows outside work, up to 2 * dim of the
     most violated join work and the solve repeats.
     """
-    q0 = interior_start(problem.value, problem.expansion_point, problem.q_min)
+    q0 = interior_start(problem.value, problem.expansion_point, Q_MIN)
     batch = 2 * q0.shape[0]
     if not work.any():
         rows = np.argsort(problem.value(q0))[-batch:] if work.size > 2 * batch else slice(None)
@@ -152,8 +141,7 @@ def solve_surrogate(problem: SurrogateProblem, work: np.ndarray) -> np.ndarray:
     solves = added = 0
     while True:
         solves += 1
-        q = minimize_linear(
-            problem.objective_weights, problem.restrict(work), q0, x_min=problem.q_min)
+        q = minimize_linear(problem.objective_weights, problem.restrict(work), q0, x_min=Q_MIN)
         g = problem.value(q)
         violated = np.flatnonzero((g > 0) & ~work)
         if not violated.size:
@@ -182,14 +170,6 @@ def find_feasible_init(model: GaussianSourceModel, budget: RateBudget) -> MbtcPa
     is 0) until feasible."""
     alpha = float(np.trace(model.sigma_x)) / model.M or 1.0
     return MbtcParams(doubling_start(alpha, model.M, lambda q: is_feasible(model, q, budget)[0]))
-
-
-def unit_scale(mean_variance: float) -> float:
-    """The power of two nearest mean_variance (trace/M) in log2, by which
-    both optimizers divide their model; 1 if mean_variance is 0 or infinite."""
-    if not 0.0 < mean_variance < np.inf:
-        return 1.0
-    return 2.0 ** round(math.log2(mean_variance))
 
 
 @dataclass(frozen=True)
@@ -240,24 +220,22 @@ def optimize(
     max_iter: int = 200,
 ) -> OptimizeResult:
     """MM loop: surrogate construction + barrier solve until the fractional
-    increase of the original objective drops below eps; run at unit scale
-    (module docstring)."""
+    increase of the original objective drops below eps."""
     check_eps(eps)
-    scale = unit_scale(float(np.trace(model.sigma_x)) / model.M)
-    unit = model if scale == 1.0 else replace(model, sigma_x=model.sigma_x / scale)
-    q0 = find_feasible_init(unit, budget).q
+    q0 = find_feasible_init(model, budget).q
     work = np.zeros((1 << model.M) - 1, dtype=bool)  # one flag per all_subsets row
     q, trace, iterates, iterations = mm_loop(
         q0,
-        lambda q: float(unit.sigma_x @ unit.c @ mmse_combiner(unit, q)),
-        lambda q: solve_surrogate(build_surrogate(unit, budget, q, Q_MIN / scale), work),
+        lambda q: float(model.sigma_x @ model.c @ mmse_combiner(model, q)),
+        lambda q: solve_surrogate(build_surrogate(model, budget, q), work),
         eps,
         max_iter,
     )
+    q = MbtcParams(q)
     return OptimizeResult(
-        q=MbtcParams(q * scale),
-        distortion=distortion(unit, q) * scale,
-        trace=tuple(t * scale for t in trace),
+        q=q,
+        distortion=distortion(model, q),
+        trace=trace,
         iterations=iterations,
-        iterates=tuple(x * scale for x in iterates),
+        iterates=iterates,
     )

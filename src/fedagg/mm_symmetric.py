@@ -50,7 +50,7 @@ ulps until every exact whole-group row reads <= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ from .mm_general import (
     doubling_start,
     mm_loop,
     solve_surrogate,
-    unit_scale,
 )
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
 
@@ -117,9 +116,7 @@ def symmetric_distortion(model: SymmetricSourceModel, lam: float, q_groups) -> f
     return max(signal - gain * (gain / (1.0 / t + rho * sigma2)), 0.0)
 
 
-def _build_surrogate(
-    model: SymmetricSourceModel, selections, q_hat, q_min: float = Q_MIN
-) -> SurrogateProblem:
+def _build_surrogate(model: SymmetricSourceModel, selections, q_hat) -> SurrogateProblem:
     """Tangent rows of every selection at q_hat (see the module docstring)."""
     sizes, sel = model.group_sizes.astype(float), selections.astype(float)
     c = model.rho * model.sigma2
@@ -132,13 +129,13 @@ def _build_surrogate(
     )
     bits = theta(model.rho, model.sigma2, sizes, q_hat, sel)
     return SurrogateProblem(
-        objective_weights=sizes * inv**2,
+        # sizes * inv^2 times sigma2^2: free of units, like the general path's w^2
+        objective_weights=sizes * (model.sigma2 * inv) ** 2,
         linear_weights=lin,
         log_weights=sel,
         constants=bits - lin @ q_hat + 0.5 * sel @ np.log2(q_hat),
         budgets=sel @ model.group_rates,
         expansion_point=q_hat.copy(),
-        q_min=q_min,
     )
 
 
@@ -234,9 +231,7 @@ def optimize_symmetric(
     One group runs no MM: its optimum comes from the closed-form bracket
     (module docstring), reported as one iteration from the bracket's feasible
     upper end. Two or more groups carry the 2^J - 1 whole-group rows; more
-    than MAX_SELECTIONS of them raise ValueError. Their MM runs at unit scale,
-    on sigma2 divided by the power of two s nearest it (``mm_general``); q and
-    the distortions come back times s, the recast objectives divided by s."""
+    than MAX_SELECTIONS of them raise ValueError."""
     if lam == 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be nonzero and finite, got {lam}")
     check_eps(eps)
@@ -246,32 +241,26 @@ def optimize_symmetric(
     else:  # whole groups decide feasibility (module docstring)
         selections = sizes * enumerate_selections(np.ones_like(sizes))
     budgets = selections @ model.group_rates
-    # The one-group solve is scale-free (its bracket scales with sigma2).
-    scale = unit_scale(model.sigma2) if len(sizes) > 1 else 1.0
-    unit = model if scale == 1.0 else replace(model, sigma2=model.sigma2 / scale)
 
     def rows(q):  # exact theta(q, s) - s . r of every selection carried
-        return theta(unit.rho, unit.sigma2, sizes, q, selections) - budgets
+        return theta(model.rho, model.sigma2, sizes, q, selections) - budgets
 
     def objective(q):
-        return symmetric_objective(unit.rho, unit.sigma2, sizes, q)
+        return symmetric_objective(model.rho, model.sigma2, sizes, q)
 
     work = np.zeros(selections.shape[0], dtype=bool)
 
     def step(q):
-        problem = _build_surrogate(unit, selections, q, Q_MIN / scale)
-        return _pull_in(solve_surrogate(problem, work), rows)
+        return _pull_in(solve_surrogate(_build_surrogate(model, selections, q), work), rows)
 
     if len(sizes) == 1:
         per_device = sizes[0] / selections[:, 0]  # M / s
-        solved = _solve_one_group(unit, lambda q: (rows(q) * per_device).max())
+        solved = _solve_one_group(model, lambda q: (rows(q) * per_device).max())
         q0, q = np.reshape(solved, (2, 1))
         obj_trace, iterates, iterations = (objective(q0), objective(q)), (q0, q), 1
     else:
-        q0 = doubling_start(unit.sigma2, len(sizes), lambda q: rows(q).max() <= 0.0)
+        q0 = doubling_start(model.sigma2, len(sizes), lambda q: rows(q).max() <= 0.0)
         q, obj_trace, iterates, iterations = mm_loop(q0, objective, step, eps, max_iter)
-    q, iterates = q * scale, tuple(x * scale for x in iterates)
-    obj_trace = tuple(t / scale for t in obj_trace)
     d_trace = [symmetric_distortion(model, lam, x) for x in iterates]
     d_trace += d_trace[-1:] * (len(obj_trace) - len(d_trace))  # after a regression
     return SymmetricOptimizeResult(

@@ -85,6 +85,15 @@ class TestMinimizeLinear:
         x = minimize_linear(f, cons, x0, x_min=1e-12)
         assert np.abs(x - [0.5, 0.25]).max() < 1e-7
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simplex_vertex_at_small_scale(self):
+        # The floor rows start at their own slack x0 - x_min: lifted to the
+        # rate rows' 1e-3, they started this x far off its floor rows.
+        f, cons, x0 = simplex_problem()
+        small = HalfspaceConstraints(cons.A, cons.b * 1e-4)
+        x = minimize_linear(f, small, x0 * 1e-4, x_min=1e-12)
+        assert np.abs(x / 1e-4 - [0.5, 0.25]).max() < 1e-8
+
     def test_certified_stop_within_grad_gate(self):
         # The optimum is a vertex, where steps stop moving x in floating
         # point: the solve must end on its gap certificate, well inside the

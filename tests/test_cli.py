@@ -74,6 +74,15 @@ class TestMisplacedInputs:
         p = write_symmetric_model(tmp_path / "s.json")
         assert_rejected(tmp_path, ["verify", "--model", p, "--budget", "9,9", "--q", "1,1"])
 
+    @pytest.mark.parametrize("lam", ["nan", "0.5"])
+    def test_general_model_rejects_lambda(self, capsys, tmp_path, lam):
+        # --lam weighs a symmetric model's devices; a general model's c does
+        # that, so any --lam there is a config error, not a dropped value.
+        p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
+        assert_rejected(tmp_path, ["optimize", "--model", p, "--budget", "1,1.5", "--lam", lam])
+        assert_rejected(tmp_path, ["verify", "--model", p, "--budget", "1,1.5", "--q", "1,1",
+                                   "--lam", lam])
+
     def test_optimize_rejects_missized_budget(self, capsys, tmp_path):
         p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
         assert_rejected(tmp_path, ["optimize", "--model", p, "--budget", "1,1,1"])
@@ -150,6 +159,14 @@ class TestOptimize:
         config = json.loads((tmp_path / "res_meta.json").read_text())["config"]
         assert "symmetric" not in config
         assert run(["optimize", "--model", p, "--symmetric", "--out", str(out)]) == 2
+
+    def test_symmetric_model_lambda_defaults_to_one(self, capsys, tmp_path):
+        p = write_symmetric_model(tmp_path / "s.json")
+        out, one = tmp_path / "res.json", tmp_path / "one.json"
+        assert run(["optimize", "--model", p, "--out", str(out)]) == 0
+        assert run(["optimize", "--model", p, "--lam", "1", "--out", str(one)]) == 0
+        assert json.loads(out.read_text()) == json.loads(one.read_text())
+        assert json.loads((tmp_path / "res_meta.json").read_text())["config"]["lambda"] == 1.0
 
     def test_symmetric_model_above_selection_cap(self, capsys, tmp_path):
         # 5 groups of 20 devices: 4,084,100 selections, above MAX_SELECTIONS;

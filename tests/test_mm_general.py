@@ -374,18 +374,24 @@ def grouped_scale_model(j: int) -> SymmetricSourceModel:
     return SymmetricSourceModel(rho=0.9, sigma2=2.0**j, groups=((20, 1.0), (20, 2.0), (20, 3.0)))
 
 
+def worst_slack(model, budget, q) -> float:
+    members = all_subsets(model.M)
+    return float((members @ budget.r - _required_bits(model, q, members)).min())
+
+
 class TestScaleFree:
-    """Both optimizers solve at unit scale, so a model scaled by 2^j gets the
-    unit model's answer scaled by 2^j; the barrier's absolute constants once
-    failed them on small-scale models (2^-14 here, 2^-7 grouped)."""
+    """A model scaled by 2^j gets the unit model's answer scaled by 2^j: the
+    rates do not change when Sigma and q scale together, and the barrier
+    starts its floor rows at their own slack, in the units of q. Lifted to
+    the rate rows' slack floor, they failed small-scale models (2^-14 here,
+    2^-7 grouped)."""
 
     @settings(max_examples=40)
-    @given(j=st.integers(-24, 4))
+    @given(j=st.integers(-24, 20))
     def test_solves_at_every_scale(self, j):
         model, budget = general_scale_model(j)
         res = optimize(model, budget)
-        members = all_subsets(model.M)
-        assert (_required_bits(model, res.q, members) - members @ budget.r).max() <= 1e-9
+        assert worst_slack(model, budget, res.q) >= -1e-9
         unit = optimize(*general_scale_model(0)).distortion
         assert res.distortion / 2.0**j == pytest.approx(unit, rel=1e-6, abs=0.0)
 
@@ -396,6 +402,42 @@ class TestScaleFree:
         assert rows.max() <= 1e-9
         unit = optimize_symmetric(grouped_scale_model(0), 1 / 60).distortion
         assert res.distortion / 2.0**j == pytest.approx(unit, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSmallNoise:
+    """High rates and widely spread variances put q far below the model's
+    scale, so the barrier starts close to its floor rows x >= Q_MIN in
+    absolute terms; lifted to the rate rows' slack floor of 1e-3 there, these
+    solves took log2 of a negative q or ran out of Newton iterations."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_drawn_instances_at_eight_times_the_budget(self, k):
+        model, budget = drawn_m10_instance(k)
+        budget = RateBudget(budget.r * 8)
+        assert worst_slack(model, budget, optimize(model, budget).q) >= -1e-9
+
+    def test_grouped_high_rates_at_three_scales(self):
+        distortions = []
+        for sigma2 in (1e-3, 1.0, 1e3):
+            sym = SymmetricSourceModel(rho=0.9, sigma2=sigma2,
+                                       groups=((20, 4.0), (20, 6.0), (20, 8.0)))
+            res = optimize_symmetric(sym, 1 / 60)
+            sel = sym.group_sizes * enumerate_selections(np.ones(3, dtype=int))
+            rows = theta(sym.rho, sigma2, sym.group_sizes, res.q_groups, sel) - sel @ sym.group_rates
+            assert rows.max() <= 1e-9
+            distortions.append(res.distortion / sigma2)
+        np.testing.assert_allclose(distortions, distortions[1], rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_device_variances_over_eight_decades(self, k):
+        # Sigma = D^(1/2) (G G' / 8) D^(1/2), D = 10^U(-4, 4) per device.
+        rng = np.random.default_rng([k, 7])
+        g = rng.standard_normal((5, 8))
+        root = np.sqrt(10.0 ** rng.uniform(-4.0, 4.0, size=5))
+        budget = RateBudget(rng.uniform(0.5, 2.0, size=5))
+        model = GaussianSourceModel(sigma_x=root[:, None] * (g @ g.T / 8) * root, c=np.ones(5))
+        assert worst_slack(model, budget, optimize(model, budget).q) >= -1e-9
 
 
 class TestMmLoop:

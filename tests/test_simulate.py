@@ -326,8 +326,8 @@ class TestMbtcAggregate:
 
     def test_small_scale_updates(self):
         # FL-sized updates (sources times 1e-3) once made the grouped barrier
-        # give up; the optimizer now solves at unit scale, so the charges and
-        # the estimate are those of the unscaled stack, scaled.
+        # give up; the optimizer is scale-free, so the charges and the
+        # estimate are those of the unscaled stack, scaled.
         x = synthetic_sources(0.8, 4, 4096, 3)
         aggregate = mbtc_aggregator(RateBudget([1.0, 2.0, 1.0, 3.0]))
         c = np.full(4, 0.25)
