@@ -11,7 +11,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -91,27 +90,28 @@ def _per_device_values(text, M, flag, shared=False) -> np.ndarray:
 
 
 def _load_model(args):
-    """--model with its --budget and --lam: (model, budget, None) for a general
-    model, (model, None, lam) for a symmetric one (its groups set the rates;
-    lam defaults to 1)."""
+    """--model with its --budget: (model, budget) for a general model,
+    (model, None) for a symmetric one, whose groups set the rates."""
     with open(args.model) as fh:
         model = load_model(fh.read())
     if isinstance(model, SymmetricSourceModel):
         if args.budget is not None:
             raise ValueError("--budget does not apply to a symmetric model's group rates")
-        return model, None, 1.0 if args.lam is None else args.lam
-    if args.lam is not None:
-        raise ValueError("--lam does not apply to a general model")
+        return model, None
     if args.budget is None:
         raise ValueError("--budget is required for a general model")
-    return model, RateBudget(_per_device_values(args.budget, model.M, "--budget")), None
+    return model, RateBudget(_per_device_values(args.budget, model.M, "--budget"))
 
 
 def cmd_optimize(args) -> int:
-    model, budget, lam = _load_model(args)
+    model, budget = _load_model(args)
+    lam = args.lam
     if budget is None:
+        lam = 1.0 if lam is None else lam
         res = mm_symmetric.optimize_symmetric(model, lam, eps=args.eps, max_iter=args.max_iter)
         trace = res.objective_trace
+    elif lam is not None:
+        raise ValueError("--lam does not apply to a general model")
     else:
         res = mm_general.optimize(model, budget, eps=args.eps, max_iter=args.max_iter)
         trace = res.trace
@@ -184,15 +184,13 @@ def cmd_fl_train(args) -> int:
     trace = flharness.run_training(task, aggregator, args.rounds, seed=args.seed)
     rows = []
     for t in range(args.rounds):
-        report = trace.rate_reports[t]
-        rate_max = float(np.max(report)) if np.all(np.isfinite(report)) else math.inf
         rows.append(
             (
                 t,
                 float(trace.loss_gap[t + 1]),
                 float(trace.error_energy[t]),
                 float(trace.bound_value[t + 1]),
-                rate_max,
+                float(np.max(trace.rate_reports[t])),
             )
         )
     _write_outputs(
@@ -237,9 +235,9 @@ def _builtin_verify() -> int:
 def cmd_verify(args) -> int:
     if args.model is None:
         return _builtin_verify()
-    model, budget, lam = _load_model(args)
+    model, budget = _load_model(args)
     if budget is None:
-        model, budget = model.expand(lam)
+        model, budget = model.expand()
     if args.q is None:
         raise ValueError("--q is required with --model")
     q = MbtcParams(_per_device_values(args.q, model.M, "--q"))
@@ -254,7 +252,7 @@ def cmd_verify(args) -> int:
              "slack [bits/symbol]"],
             rows,
             {"command": "verify", "model": args.model, "budget": args.budget,
-             "q": args.q, "lambda": lam},
+             "q": args.q},
         )
     return 0
 
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--model")
     p_ver.add_argument("--q", help="comma list of MBTC parameters")
     p_ver.add_argument("--budget")
-    p_ver.add_argument("--lam", type=float, help="symmetric models only (default 1)")
     p_ver.add_argument("--out")
     p_ver.set_defaults(fn=cmd_verify)
     return parser

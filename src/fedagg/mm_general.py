@@ -43,6 +43,7 @@ from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
 from .region import (
     LOG2E,
     _qvec,
+    _rates,
     _required_bits,
     all_subsets,
     by_complement_size,
@@ -98,9 +99,9 @@ class SurrogateProblem:
 def build_surrogate(model: GaussianSourceModel, budget: RateBudget, q_hat) -> SurrogateProblem:
     """Expand all 2^M - 1 rate constraints at q_hat (tangent rows, see the
     module docstring); q_hat must be feasible."""
-    qv = _qvec(q_hat)
+    qv = _qvec(q_hat, model.M)
     members = all_subsets(model.M)
-    budgets = members @ budget.r
+    budgets = members @ _rates(budget, model.M)
     bits = _required_bits(model, qv, members)
     feasible, worst = slack_feasible(budgets - bits)
     if not feasible:

@@ -78,13 +78,6 @@ class GaussianSourceModel:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianSourceModel":
-        doc = json.loads(text)
-        m = int(doc["M"])
-        sigma = np.asarray(doc["sigma_x"], dtype=float).reshape(m, m)
-        return cls(sigma_x=sigma, c=np.asarray(doc["c"], dtype=float))
-
 
 def symmetric_covariance(rho: float, sigma2: float, M: int) -> np.ndarray:
     """Equicorrelated covariance rho*s2*11^T + (1-rho)*s2*I."""
@@ -154,15 +147,6 @@ class SymmetricSourceModel:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricSourceModel":
-        doc = json.loads(text)
-        return cls(
-            rho=float(doc["rho"]),
-            sigma2=float(doc["sigma2"]),
-            groups=tuple((g["size"], g["rate"]) for g in doc["groups"]),
-        )
-
 
 @dataclass(frozen=True)
 class RateBudget:
@@ -203,8 +187,16 @@ def empirical_covariance(updates) -> np.ndarray:
 
 
 def load_model(text: str):
-    """Parse a model JSON document into the matching model type."""
+    """Parse a model JSON document, as ``to_json`` writes it, into the matching
+    model type: a document with "rho" is a SymmetricSourceModel, any other a
+    GaussianSourceModel."""
     doc = json.loads(text)
     if "rho" in doc:
-        return SymmetricSourceModel.from_json(text)
-    return GaussianSourceModel.from_json(text)
+        return SymmetricSourceModel(
+            rho=float(doc["rho"]),
+            sigma2=float(doc["sigma2"]),
+            groups=tuple((g["size"], g["rate"]) for g in doc["groups"]),
+        )
+    m = int(doc["M"])
+    sigma = np.asarray(doc["sigma_x"], dtype=float).reshape(m, m)
+    return GaussianSourceModel(sigma_x=sigma, c=np.asarray(doc["c"], dtype=float))

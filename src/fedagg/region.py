@@ -19,10 +19,20 @@ MAX_ENUM_M = 25
 LOG2E = 1.0 / np.log(2.0)
 
 
-def _qvec(q) -> np.ndarray:
-    if isinstance(q, MbtcParams):
-        return q.q
-    return np.atleast_1d(np.asarray(q, dtype=float))
+def _qvec(q, M: int) -> np.ndarray:
+    """The test-channel variances of q, an MbtcParams or an array: the one
+    reader of q, which raises ValueError unless there are exactly M."""
+    qv = q.q if isinstance(q, MbtcParams) else np.atleast_1d(np.asarray(q, dtype=float))
+    if qv.shape != (M,):
+        raise ValueError(f"got {qv.size} test-channel variances for {M} devices")
+    return qv
+
+
+def _rates(budget: RateBudget, M: int) -> np.ndarray:
+    """The one reader of a budget: its M rates, or ValueError on another count."""
+    if budget.r.shape != (M,):
+        raise ValueError(f"got a budget of {budget.r.size} rates for {M} devices")
+    return budget.r
 
 
 def all_subsets(M: int) -> np.ndarray:
@@ -72,7 +82,7 @@ def _required_bits(model: GaussianSourceModel, q, members: np.ndarray) -> np.nda
     Silent devices are dropped first, so a row of silent devices requires 0
     bits. The complement blocks are stacked by size, one slogdet per size.
     """
-    qv = _qvec(q)
+    qv = _qvec(q, model.M)
     live = ~np.isposinf(qv)
     q_live = qv[live]
     inside = members[:, live]
@@ -102,7 +112,7 @@ def sum_mutual_info(model: GaussianSourceModel, q) -> float:
 def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
     """Weights w = (S + Q)^{-1} S c with Y_hat = w^T u, over the devices that
     are not silent; silent devices (q = +inf) get weight zero."""
-    qv = _qvec(q)
+    qv = _qvec(q, model.M)
     w = np.zeros(model.M)
     f = np.flatnonzero(~np.isposinf(qv))
     if f.size:
@@ -114,7 +124,7 @@ def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
 
 def distortion(model: GaussianSourceModel, q) -> float:
     """Aggregation distortion v(q) = c'Sc - c'S(S+Q)^{-1}Sc, clamped at zero."""
-    f = ~np.isposinf(_qvec(q))
+    f = ~np.isposinf(_qvec(q, model.M))
     a = model.sigma_x @ model.c
     w = mmse_combiner(model, q)
     return max(float(model.c @ model.sigma_x @ model.c) - float(a[f] @ w[f]), 0.0)
@@ -124,7 +134,7 @@ def _constraint_columns(model: GaussianSourceModel, q, budget: RateBudget):
     """(required, budget, slack) bits of all 2^M - 1 subsets, in bitmask order."""
     members = all_subsets(model.M)
     required = _required_bits(model, q, members)
-    have = members @ budget.r
+    have = members @ _rates(budget, model.M)
     return required, have, have - required
 
 

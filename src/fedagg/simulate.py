@@ -27,7 +27,7 @@ from .model import (
     RateBudget,
     SymmetricSourceModel,
 )
-from .region import _required_bits, distortion, mmse_combiner
+from .region import _qvec, _rates, _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
 from .transform import (
     DeviceUpdateBatch,
@@ -67,9 +67,7 @@ def mbtc_noise_surrogate(n: int, w, q_star, seed: int):
     """Combined test-channel noise w @ z of the decoder-output surrogate, for
     the MMSE combiner w solved at q_star: device m adds z_m ~ N(0, q_m I_n)
     from seed_stream(seed, "aux-noise", m), a silent device (q_m = +inf) none."""
-    qv = q_star.q if isinstance(q_star, MbtcParams) else np.asarray(q_star, dtype=float)
-    if qv.shape != w.shape:
-        raise ValueError(f"got {qv.size} test-channel variances for {w.size} combiner weights")
+    qv = _qvec(q_star, len(w))
     out, z = np.zeros(n), np.empty(n)
     for m in np.flatnonzero(~np.isposinf(qv)):
         rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
@@ -89,9 +87,9 @@ class AggregationResult:
     q: MbtcParams
 
 
-def _fit_symmetric(sigma: np.ndarray, budget: RateBudget):
+def _fit_symmetric(sigma: np.ndarray, rates: np.ndarray):
     """Project an empirical covariance onto the equicorrelated family and group
-    devices by identical budgets (group order = first occurrence); returns the
+    devices by identical rates (group order = first occurrence); returns the
     model and each device's group index."""
     m = sigma.shape[0]
     sigma2 = float(np.mean(np.diag(sigma)))
@@ -100,10 +98,10 @@ def _fit_symmetric(sigma: np.ndarray, budget: RateBudget):
         rho = float(np.clip(np.mean(off) / sigma2, 0.0, 1.0 - 1e-9))
     else:
         rho = 0.0
-    rates, first, inverse = np.unique(budget.r, return_index=True, return_inverse=True)
+    values, first, inverse = np.unique(rates, return_index=True, return_inverse=True)
     order = np.argsort(first)
     group = np.argsort(order)[inverse]
-    groups = tuple((int(n), float(r)) for n, r in zip(np.bincount(group), rates[order]))
+    groups = tuple((int(n), float(r)) for n, r in zip(np.bincount(group), values[order]))
     return SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=groups), group
 
 
@@ -114,8 +112,7 @@ def mbtc_aggregate(
     auxiliary noise, combine. All devices share the public rotation R of
     seed_stream(seed, "rotation"), so R^-1 (w @ (R x + z)) = w @ x +
     R^-1 (w @ z): only the noise is de-rotated."""
-    if budget.r.shape != (batch.M,):
-        raise ValueError(f"{batch.M} vectors but a budget of {budget.r.size} rates")
+    rates = _rates(budget, batch.M)
     c, x, mu = np.asarray(c, dtype=float), batch.updates, batch.means[:, None]
     # Column blocks, each mean-removed on its own: no copy of the stack is made.
     cols = row_blocks(batch.N, batch.M)
@@ -126,7 +123,7 @@ def mbtc_aggregate(
         varies = varies or bool(g.any())
     model = GaussianSourceModel(sigma_x=gram / batch.N, c=c)
     if varies:
-        sym, group = _fit_symmetric(model.sigma_x, budget)
+        sym, group = _fit_symmetric(model.sigma_x, rates)
         # lambda only scales the distortion traces (symmetric_distortion); the
         # grouped q does not depend on it, so 1 serves any c, zero-mean c too.
         q = MbtcParams(mm_symmetric.optimize_symmetric(sym, 1.0).q_groups[group])
@@ -317,19 +314,22 @@ def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
     """
     if not set(schemes) <= _SWEEP_AGGREGATORS.keys():
         raise ValueError(f"unknown scheme in {tuple(schemes)!r}")
+    rates = [float(rate) for rate in rates]
+    if not all(0.0 < rate < math.inf for rate in rates):
+        raise ValueError(f"rates must be positive and finite, got {rates}")
     rows = []
     c = np.full(M, 1.0 / M)
     for rho in rhos:
         sources = synthetic_sources(rho, M, N, seed_stream(seed, "sources", float(rho)))
         for rate in rates:
             for scheme in schemes:
-                aggregate = _SWEEP_AGGREGATORS[scheme](M, float(rate))
-                run_seed = seed_stream(seed, "run", scheme, float(rho), float(rate))
+                aggregate = _SWEEP_AGGREGATORS[scheme](M, rate)
+                run_seed = seed_stream(seed, "run", scheme, float(rho), rate)
                 estimate, charges = aggregate(sources, c, run_seed)
                 # The target is formed for this measurement only, so no (N,)
                 # row is held while an aggregator runs.
                 dist = measure_distortion(baseline_aggregate(sources, c), estimate)
                 del estimate  # not held while the next aggregator runs
-                rows.append((scheme, float(rho), float(rate), float(np.max(charges)), dist, seed))
+                rows.append((scheme, float(rho), rate, float(np.max(charges)), dist, seed))
         del sources  # not held while the next rho's stack is drawn
     return rows

@@ -78,10 +78,13 @@ class TestMisplacedInputs:
     def test_general_model_rejects_lambda(self, capsys, tmp_path, lam):
         # --lam weighs a symmetric model's devices; a general model's c does
         # that, so any --lam there is a config error, not a dropped value.
+        # verify reads no lambda: the constraint rows do not depend on c.
         p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
         assert_rejected(tmp_path, ["optimize", "--model", p, "--budget", "1,1.5", "--lam", lam])
-        assert_rejected(tmp_path, ["verify", "--model", p, "--budget", "1,1.5", "--q", "1,1",
-                                   "--lam", lam])
+        before = set(tmp_path.iterdir())
+        assert run(["verify", "--model", p, "--budget", "1,1.5", "--q", "1,1", "--lam", lam,
+                    "--out", str(tmp_path / "out.csv")]) == 2
+        assert set(tmp_path.iterdir()) == before
 
     def test_optimize_rejects_missized_budget(self, capsys, tmp_path):
         p = write_general_model(tmp_path / "m.json", [[1.0, 0.5], [0.5, 1.0]], [0.5, 0.5])
@@ -217,6 +220,17 @@ class TestSweep:
         stdout = capsys.readouterr().out
         assert stdout.count("\n") >= 2
 
+    @pytest.mark.parametrize("rates, schemes", [
+        ("-5", "qsgd,uniform"), ("0", "uniform"), ("inf", "uniform"), ("inf", "qsgd"),
+        ("1,nan", "qsgd"),
+    ])
+    def test_rejects_a_rate_no_scheme_can_use(self, capsys, tmp_path, rates, schemes):
+        # A rate at or below 0 printed rows, and inf died in an OverflowError.
+        assert_rejected(tmp_path, ["sweep-distortion", "--rho", "0.5", "--rates", rates,
+                                   "--M", "3", "--N", "64", "--seed", "1",
+                                   "--schemes", schemes])
+        assert "rates must be positive and finite" in capsys.readouterr().err
+
 
 class TestFlTrain:
     def test_runs_and_deterministic(self, capsys, tmp_path):
@@ -284,7 +298,7 @@ class TestVerify:
         # Groups (2, 1 bit) and (1, 2 bits) expand to three devices with
         # budgets 1, 1 and 2: all 2^3 - 1 rows, by subset mask.
         p = write_symmetric_model(tmp_path / "s.json", groups=((2, 1.0), (1, 2.0)))
-        assert run(["verify", "--model", p, "--q", "1,1,0.5", "--lam", "0.5"]) == 0
+        assert run(["verify", "--model", p, "--q", "1,1,0.5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "subset_mask,required_bits,budget_bits,slack"
         rows = [line.split(",") for line in lines[1:]]

@@ -139,7 +139,7 @@ class TestSymmetricSourceModel:
 
     def test_json_round_trip(self):
         model = SymmetricSourceModel(rho=0.2, sigma2=1.0, groups=((1, 2.0), (2, 0.25)))
-        again = SymmetricSourceModel.from_json(model.to_json())
+        again = load_model(model.to_json())
         assert again == model
 
     def test_invalid_groups(self):
@@ -154,7 +154,7 @@ class TestOtherTypes:
         model = GaussianSourceModel(
             sigma_x=symmetric_covariance(0.5, 2.0, 3), c=np.array([0.2, 0.3, 0.5])
         )
-        again = GaussianSourceModel.from_json(model.to_json())
+        again = load_model(model.to_json())
         np.testing.assert_array_equal(again.sigma_x, model.sigma_x)
         np.testing.assert_array_equal(again.c, model.c)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fedagg
+from fedagg.mm_general import optimize
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -289,6 +290,45 @@ class TestSingleSourceRd:
             assert distortion(model, MbtcParams([q_star])) == pytest.approx(
                 d_star, rel=1e-12
             )
+
+
+ONE_BIT = RateBudget([1.0, 1.0])
+Q_READERS = {
+    "mmse_combiner": mmse_combiner,
+    "distortion": distortion,
+    "sum_mutual_info": sum_mutual_info,
+    "cond_mutual_info": lambda model, q: cond_mutual_info(model, q, [0]),
+    "is_feasible": lambda model, q: is_feasible(model, q, ONE_BIT),
+    "constraint_report": lambda model, q: constraint_report(model, q, ONE_BIT),
+}
+BUDGET_READERS = {
+    "is_feasible": lambda model, budget: is_feasible(model, [1.0, 1.0], budget),
+    "constraint_report": lambda model, budget: constraint_report(model, [1.0, 1.0], budget),
+    "optimize": optimize,
+}
+# (reader, argument, message): every q that is too short, too long or a
+# scalar, as an array and as MbtcParams, and every budget of M +- 1 rates.
+LENGTH_CASES = [
+    pytest.param(Q_READERS[name], wrap(q),
+                 f"got {np.size(q)} test-channel variances for 2 devices",
+                 id=f"{name}-{wrap.__name__}-{kind}")
+    for name in Q_READERS
+    for wrap in (np.asarray, MbtcParams)
+    for kind, q in (("short", [0.5]), ("long", [0.5, 0.5, 0.5]), ("scalar", 0.5))
+] + [
+    pytest.param(BUDGET_READERS[name], RateBudget(np.ones(n)),
+                 f"got a budget of {n} rates for 2 devices", id=f"{name}-budget{n}")
+    for name in BUDGET_READERS
+    for n in (1, 3)
+]
+
+
+@pytest.mark.parametrize("reader, argument, message", LENGTH_CASES)
+def test_a_q_or_budget_off_M_is_rejected(reader, argument, message):
+    # A short q once read its missing devices as silent, and a budget off M
+    # raised numpy's matmul mismatch: each now names both counts.
+    with pytest.raises(ValueError, match=message):
+        reader(make_model(0.5, 1.0, 2), argument)
 
 
 def test_optimizers_leave_numpy_ma_unloaded():

@@ -100,7 +100,7 @@ class TestNoiseSurrogate:
         assert np.array_equal(est, est2)
 
     def test_rejects_q_off_the_combiner(self):
-        with pytest.raises(ValueError, match="2 test-channel variances for 3 combiner weights"):
+        with pytest.raises(ValueError, match="2 test-channel variances for 3 devices"):
             mbtc_noise_surrogate(10, np.ones(3), MbtcParams([0.5, 0.5]), seed=0)
 
 
@@ -223,7 +223,7 @@ class TestBaselineAggregate:
                     with pytest.raises(ValueError, match="weights must be finite"):
                         call(np.arange(12.0).reshape(3, 4), [0.5, bad, 0.5])
             for rates in ([2.0, 2.0], [2.0] * 4):
-                with pytest.raises(ValueError, match=f"3 vectors but a budget of {len(rates)} rates"):
+                with pytest.raises(ValueError, match=f"a budget of {len(rates)} rates for 3 devices"):
                     mbtc_aggregator(RateBudget(rates))(np.arange(12.0).reshape(3, 4), np.ones(3), 1)
 
 
@@ -371,7 +371,7 @@ class TestMbtcAggregate:
         y = np.stack(synthetic_sources(0.6, 5, 1024, seed=13))
         batch = DeviceUpdateBatch(updates=y)
         budget = RateBudget(np.array([2.0, 1.0, 2.0, 3.0, 1.0]))
-        sym, group = _fit_symmetric(empirical_covariance(y - batch.means[:, None]), budget)
+        sym, group = _fit_symmetric(empirical_covariance(y - batch.means[:, None]), budget.r)
         assert sym.groups == ((2, 2.0), (2, 1.0), (1, 3.0))
         assert group.tolist() == [0, 1, 0, 2, 1]
         q = mbtc_aggregate(batch, np.full(5, 0.2), budget).q.q
@@ -538,6 +538,15 @@ class TestSweep:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             sweep_distortion((0.0,), (1.0,), 2, 256, 0, ("bogus",))
+
+    @pytest.mark.parametrize("rate", [-5.0, 0.0, np.inf, np.nan])
+    def test_rejects_a_rate_before_drawing_sources(self, rate):
+        def no_work(*args, **kwargs):
+            raise AssertionError("sources drawn before the rates were checked")
+
+        with mock.patch.object(simulate, "synthetic_sources", no_work):
+            with pytest.raises(ValueError, match="rates must be positive and finite"):
+                sweep_distortion((0.5,), (1.0, rate), 3, 64, 1, ("mbtc", "qsgd", "uniform"))
 
 
 class TestPeakMemory:
