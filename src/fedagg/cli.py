@@ -79,16 +79,6 @@ def _parse_rates(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _per_device_values(text, M, flag, shared=False) -> np.ndarray:
-    """A comma list of M per-device values; with shared, one value serves all."""
-    values = _parse_rates(text)
-    if shared and len(values) == 1:
-        values = values * M
-    if len(values) != M:
-        raise ValueError(f"{flag} needs {M} comma-separated values, got {len(values)}")
-    return np.asarray(values)
-
-
 def _load_model(args):
     """--model with its --budget: (model, budget) for a general model,
     (model, None) for a symmetric one, whose groups set the rates."""
@@ -100,7 +90,7 @@ def _load_model(args):
         return model, None
     if args.budget is None:
         raise ValueError("--budget is required for a general model")
-    return model, RateBudget(_per_device_values(args.budget, model.M, "--budget"))
+    return model, RateBudget(_parse_rates(args.budget))
 
 
 def cmd_optimize(args) -> int:
@@ -170,9 +160,9 @@ def _make_aggregator(spec_text, budget_rates, M):
     if spec_text == "mbtc":
         if budget_rates is None:
             raise ValueError("--budget is required for the mbtc aggregator")
-        return simulate.mbtc_aggregator(
-            RateBudget(_per_device_values(budget_rates, M, "--budget", shared=True))
-        )
+        # One --budget value serves every device.
+        rates = _parse_rates(budget_rates)
+        return simulate.mbtc_aggregator(RateBudget(rates * M if len(rates) == 1 else rates))
     raise ValueError(f"unknown aggregator {spec_text!r}")
 
 
@@ -240,7 +230,7 @@ def cmd_verify(args) -> int:
         model, budget = model.expand()
     if args.q is None:
         raise ValueError("--q is required with --model")
-    q = MbtcParams(_per_device_values(args.q, model.M, "--q"))
+    q = MbtcParams(_parse_rates(args.q))
     rows = constraint_report(model, q, budget)
     print("subset_mask,required_bits,budget_bits,slack")
     for mask, req, have, slack in rows:
@@ -308,7 +298,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -15,8 +15,9 @@ majorant tight at an interior point shares the function's gradient there
 (Sun, Babu & Palomar, IEEE Trans. Signal Process. 65(3), 2017), so row S has
 the weight 0.5 log2(e) ([K^-1]_mm - [(K_{S^c S^c})^-1]_mm) on q_m, the second
 term for m in S^c only, and the constant that makes it equal the exact rate
-at q_hat. The rates come from ``region._required_bits`` and the weights from
-one batched inverse per complement size.
+at q_hat. The rates, budgets and slacks come from ``region._constraint_columns``;
+the weights invert the complement blocks that ``region.by_complement_size``
+gathers for the rates too.
 
 At an MM optimum only about M of the rows bind, so ``solve_surrogate`` hands
 the barrier a working set of rows, which one MM run keeps and grows, and
@@ -42,9 +43,8 @@ from .errors import SolverError
 from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
 from .region import (
     LOG2E,
+    _constraint_columns,
     _qvec,
-    _rates,
-    _required_bits,
     all_subsets,
     by_complement_size,
     distortion,
@@ -100,18 +100,15 @@ def build_surrogate(model: GaussianSourceModel, budget: RateBudget, q_hat) -> Su
     """Expand all 2^M - 1 rate constraints at q_hat (tangent rows, see the
     module docstring); q_hat must be feasible."""
     qv = _qvec(q_hat, model.M)
-    members = all_subsets(model.M)
-    budgets = members @ _rates(budget, model.M)
-    bits = _required_bits(model, qv, members)
-    feasible, worst = slack_feasible(budgets - bits)
+    bits, budgets, slack = _constraint_columns(model, qv, budget)
+    feasible, worst = slack_feasible(slack)
     if not feasible:
         raise ValueError(f"expansion point is infeasible (worst slack {worst:.3e})")
+    members = all_subsets(model.M)
     K = model.sigma_x + np.diag(qv)
     lin = np.tile(np.diag(np.linalg.inv(K)), (members.shape[0], 1))
-    for rows, comp in by_complement_size(members):
-        if comp.shape[1]:
-            comp_inv = np.linalg.inv(K[comp[:, :, None], comp[:, None, :]])
-            lin[rows[:, None], comp] -= np.diagonal(comp_inv, axis1=1, axis2=2)
+    for rows, comp, blocks in by_complement_size(members, K):
+        lin[rows[:, None], comp] -= np.diagonal(np.linalg.inv(blocks), axis1=1, axis2=2)
     lin *= HALF_LOG2E
     return SurrogateProblem(
         objective_weights=mmse_combiner(model, qv) ** 2,

@@ -189,14 +189,17 @@ def empirical_covariance(updates) -> np.ndarray:
 def load_model(text: str):
     """Parse a model JSON document, as ``to_json`` writes it, into the matching
     model type: a document with "rho" is a SymmetricSourceModel, any other a
-    GaussianSourceModel."""
+    GaussianSourceModel. Raises ValueError on any document that is not a model."""
     doc = json.loads(text)
-    if "rho" in doc:
-        return SymmetricSourceModel(
-            rho=float(doc["rho"]),
-            sigma2=float(doc["sigma2"]),
-            groups=tuple((g["size"], g["rate"]) for g in doc["groups"]),
-        )
-    m = int(doc["M"])
-    sigma = np.asarray(doc["sigma_x"], dtype=float).reshape(m, m)
-    return GaussianSourceModel(sigma_x=sigma, c=np.asarray(doc["c"], dtype=float))
+    try:
+        if "rho" in doc:
+            return SymmetricSourceModel(
+                rho=float(doc["rho"]),
+                sigma2=float(doc["sigma2"]),
+                groups=tuple((g["size"], g["rate"]) for g in doc["groups"]),
+            )
+        m = int(doc["M"])
+        sigma = np.asarray(doc["sigma_x"], dtype=float).reshape(m, m)
+        return GaussianSourceModel(sigma_x=sigma, c=np.asarray(doc["c"], dtype=float))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model document: {exc!r}") from exc

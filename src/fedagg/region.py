@@ -53,18 +53,20 @@ def _membership(S, M: int) -> np.ndarray:
     return row
 
 
-def by_complement_size(members: np.ndarray):
+def by_complement_size(members: np.ndarray, K: np.ndarray):
     """Group the rows of an (n, M) membership matrix by complement size.
 
-    Yields (rows, comp) per size in increasing order: the row numbers and the
-    ascending device indices outside each row's subset, (len(rows), |S^c|).
+    Yields (rows, comp, blocks) per nonzero size in increasing order: the row
+    numbers, the ascending device indices outside each row's subset,
+    (len(rows), |S^c|), and the stacked blocks K_{S^c S^c} of the (M, M) K.
     """
     outside = ~members
     sizes = outside.sum(axis=1)
     # bincount, not np.unique: numpy 2.4's unique imports numpy.ma on first use
-    for k in np.flatnonzero(np.bincount(sizes)):
+    for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         rows = np.flatnonzero(sizes == k)
-        yield rows, np.nonzero(outside[rows])[1].reshape(rows.size, k)
+        comp = np.nonzero(outside[rows])[1].reshape(rows.size, k)
+        yield rows, comp, K[comp[:, :, None], comp[:, None, :]]
 
 
 def _logdet2(a: np.ndarray):
@@ -80,7 +82,7 @@ def _required_bits(model: GaussianSourceModel, q, members: np.ndarray) -> np.nda
     membership matrix.
 
     Silent devices are dropped first, so a row of silent devices requires 0
-    bits. The complement blocks are stacked by size, one slogdet per size.
+    bits; rounding never takes a rate below 0. One slogdet per complement size.
     """
     qv = _qvec(q, model.M)
     live = ~np.isposinf(qv)
@@ -88,11 +90,10 @@ def _required_bits(model: GaussianSourceModel, q, members: np.ndarray) -> np.nda
     inside = members[:, live]
     block = model.sigma_x[np.ix_(live, live)] + np.diag(q_live)
     comp_logdet = np.zeros(inside.shape[0])
-    for rows, comp in by_complement_size(inside):
-        if comp.shape[1]:
-            comp_logdet[rows] = _logdet2(block[comp[:, :, None], comp[:, None, :]])
+    for rows, _, blocks in by_complement_size(inside, block):
+        comp_logdet[rows] = _logdet2(blocks)
     log_q = np.sum(np.where(inside, np.log2(q_live), 0.0), axis=1)
-    bits = 0.5 * (_logdet2(block) - comp_logdet - log_q)
+    bits = np.maximum(0.5 * (_logdet2(block) - comp_logdet - log_q), 0.0)
     return np.where(inside.any(axis=1), bits, 0.0)
 
 

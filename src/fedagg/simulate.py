@@ -116,19 +116,19 @@ def mbtc_aggregate(
     c, x, mu = np.asarray(c, dtype=float), batch.updates, batch.means[:, None]
     # Column blocks, each mean-removed on its own: no copy of the stack is made.
     cols = row_blocks(batch.N, batch.M)
-    gram, varies = np.zeros((batch.M, batch.M)), False
+    gram = np.zeros((batch.M, batch.M))
     for b in cols:
         g = x[:, b] - mu
         gram += g @ g.T
-        varies = varies or bool(g.any())
     model = GaussianSourceModel(sigma_x=gram / batch.N, c=c)
-    if varies:
+    if np.trace(model.sigma_x):
         sym, group = _fit_symmetric(model.sigma_x, rates)
         # lambda only scales the distortion traces (symmetric_distortion); the
         # grouped q does not depend on it, so 1 serves any c, zero-mean c too.
         q = MbtcParams(mm_symmetric.optimize_symmetric(sym, 1.0).q_groups[group])
     else:
-        # No device varies: every device stays silent and the means carry c @ updates.
+        # Zero trace: no device varies, or the Gram matrix underflowed. All devices
+        # stay silent and the means carry c @ updates.
         q = MbtcParams(np.full(batch.M, np.inf))
     w = mmse_combiner(model, q)
     noise = mbtc_noise_surrogate(batch.N, w, q, seed)
@@ -317,6 +317,8 @@ def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
     rates = [float(rate) for rate in rates]
     if not all(0.0 < rate < math.inf for rate in rates):
         raise ValueError(f"rates must be positive and finite, got {rates}")
+    if not all(0.0 <= rho < 1.0 for rho in rhos):
+        raise ValueError(f"rho must be in [0, 1), got {tuple(rhos)}")
     rows = []
     c = np.full(M, 1.0 / M)
     for rho in rhos:

@@ -114,6 +114,19 @@ class TestMisplacedInputs:
         p = write_symmetric_model(tmp_path / "s.json")
         assert_rejected(tmp_path, ["optimize", "--model", p, "--lam", lam])
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"rho": 0.5, "sigma2": 1.0, "groups": [3]}'],
+                             ids=["not-an-object", "group-not-an-object"])
+    def test_verify_rejects_a_document_that_is_not_a_model(self, capsys, tmp_path, text):
+        # Each exited 1 with a TypeError traceback.
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        assert_rejected(tmp_path, ["verify", "--model", str(p), "--q", "1"])
+        assert "malformed model document" in capsys.readouterr().err
+
+    def test_verify_rejects_a_model_path_that_is_a_directory(self, capsys, tmp_path):
+        # IsADirectoryError exited 1 with a traceback.
+        assert_rejected(tmp_path, ["verify", "--model", str(tmp_path), "--q", "1"])
+
 
 FL_ARGS = ["fl-train", "--devices", "2", "--dim", "4", "--rounds", "1",
            "--aggregator", "qsgd:2", "--seed", "1"]

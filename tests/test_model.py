@@ -164,6 +164,19 @@ class TestOtherTypes:
         gen = GaussianSourceModel(sigma_x=np.eye(2), c=np.ones(2))
         assert isinstance(load_model(gen.to_json()), GaussianSourceModel)
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        "null",
+        '{"rho": 0.5, "sigma2": 1.0, "groups": [3]}',
+        '{"rho": 0.5, "sigma2": 1.0}',
+        '{"sigma_x": [1.0], "c": [1.0]}',
+    ])
+    def test_malformed_document_is_a_value_error(self, text):
+        # A document that parses but is not a model once raised KeyError or
+        # TypeError, which the CLI did not report as a config error.
+        with pytest.raises(ValueError, match="malformed model document"):
+            load_model(text)
+
     def test_c_length_mismatch(self):
         with pytest.raises(ValueError):
             GaussianSourceModel(sigma_x=np.eye(2), c=np.ones(3))

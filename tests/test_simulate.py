@@ -400,6 +400,29 @@ class TestMbtcAggregate:
         assert np.abs(res.estimate - c @ updates).max() < 1e-15
         assert measure_distortion(c @ updates, res.estimate) < 1e-30
 
+    def test_updates_whose_covariance_underflows_stay_silent(self):
+        # The deviations of 1e-170 * N(0, 1) updates are nonzero, but their
+        # Gram matrix underflows to 0; the grouped fit divides by its trace,
+        # so a zero trace alone must send every device silent (it raised
+        # "rho must be in [0, 1), got nan").
+        x = 1e-170 * np.random.default_rng(0).standard_normal((4, 64))
+        res = mbtc_aggregate(DeviceUpdateBatch(x), np.full(4, 0.25), RateBudget(np.full(4, 2.0)), 1)
+        assert np.all(np.isposinf(res.q.q))
+        assert np.array_equal(res.rate_report, np.zeros(4))
+        assert np.isfinite(res.estimate).all()
+
+    @pytest.mark.parametrize("x, constant", [
+        (np.vstack([np.ones(8), np.ones(8), np.arange(8.0)]), [0, 1]),
+        (1e-155 * np.random.default_rng(0).standard_normal((4, 64)), []),
+    ], ids=["constant-devices", "tiny-updates"])
+    def test_no_device_is_charged_below_zero_bits(self, x, constant):
+        # Rounding charged -4.4e-16 bits to each constant device, and
+        # -3.6e-15 bits to every device of the tiny updates.
+        M = x.shape[0]
+        _, charges = mbtc_aggregator(RateBudget(np.full(M, 2.0)))(x, np.full(M, 1 / M), 1)
+        assert np.all(charges >= 0.0)
+        assert np.array_equal(charges[constant], np.zeros(len(constant)))
+
     @settings(max_examples=60)
     @given(
         M=st.integers(1, 5),
@@ -547,6 +570,17 @@ class TestSweep:
         with mock.patch.object(simulate, "synthetic_sources", no_work):
             with pytest.raises(ValueError, match="rates must be positive and finite"):
                 sweep_distortion((0.5,), (1.0, rate), 3, 64, 1, ("mbtc", "qsgd", "uniform"))
+
+    @pytest.mark.parametrize("rho", [1.0, -0.1, np.nan])
+    def test_rejects_a_late_rho_before_drawing_sources(self, rho):
+        # A bad rho after a good one once failed only after the good rho's
+        # rows were computed.
+        def no_work(*args, **kwargs):
+            raise AssertionError("sources drawn before the rhos were checked")
+
+        with mock.patch.object(simulate, "synthetic_sources", no_work):
+            with pytest.raises(ValueError, match=r"rho must be in \[0, 1\)"):
+                sweep_distortion((0.5, rho), (1.0,), 3, 64, 1, ("mbtc", "qsgd", "uniform"))
 
 
 class TestPeakMemory:
