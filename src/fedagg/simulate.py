@@ -16,6 +16,7 @@ can sum below I(x; u), so they are not an achievable vector (ROADMAP item 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ from .region import _qvec, _rates, _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
 from .transform import (
     DeviceUpdateBatch,
-    _apply_segments,
+    _diagonals,
+    _rotate_rows,
     haar_derotate,
     haar_rotate,
     row_blocks,
@@ -98,10 +100,9 @@ def _fit_symmetric(sigma: np.ndarray, rates: np.ndarray):
         rho = float(np.clip(np.mean(off) / sigma2, 0.0, 1.0 - 1e-9))
     else:
         rho = 0.0
-    values, first, inverse = np.unique(rates, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    group = np.argsort(order)[inverse]
-    groups = tuple((int(n), float(r)) for n, r in zip(np.bincount(group), values[order]))
+    first = {}  # rate -> its group, numbered at the rate's first occurrence
+    group = np.array([first.setdefault(r, len(first)) for r in rates.tolist()])
+    groups = tuple((int(n), r) for n, r in zip(np.bincount(group), first))
     return SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=groups), group
 
 
@@ -145,6 +146,11 @@ def mbtc_aggregate(
     )
 
 
+def _check_levels(name: str, value, top) -> None:
+    if not 1 <= value < top:  # top: where the level count (2^b or s) leaves the floats
+        raise ValueError(f"{name} must be in [1, {top}), got {value}")
+
+
 def qsgd_quantize(v, s: int, seed: int, rows=None):
     """Unbiased stochastic quantization to levels {0, 1/s, ..., 1} of |v|/||v||.
 
@@ -154,8 +160,7 @@ def qsgd_quantize(v, s: int, seed: int, rows=None):
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
-    if s < 1:
-        raise ValueError(f"level count must be >= 1, got {s}")
+    _check_levels("level count", s, sys.float_info.max)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return v.copy(), SCALAR_BITS / n
@@ -181,8 +186,7 @@ def _quantize_rotated(x, bits_per_element: int):
     0 quantizes to zeros. Works in place on x, a buffer the caller owns: the
     uniform aggregator passes one row block of its rotation at a time."""
     b = bits_per_element
-    if b < 1:
-        raise ValueError(f"bits_per_element must be >= 1, got {b}")
+    _check_levels("bits_per_element", b, sys.float_info.max_exp)
     levels = 2**b
     unit_step = GAUSSIAN_STEP[b - 1] if b <= len(GAUSSIAN_STEP) else 8.0 / levels
     scale = np.std(x, axis=-1, keepdims=True)
@@ -239,7 +243,8 @@ def baseline_aggregate(vectors, c):
 
 def qsgd_levels_for_rate(rate_bits: float) -> int:
     """Largest level count whose fixed-width charge fits the rate (min 1)."""
-    budget = int(math.floor(rate_bits)) - 1
+    # Capped at 2^1024 - 1, which no float holds and qsgd_aggregator rejects.
+    budget = min(int(math.floor(rate_bits)), sys.float_info.max_exp + 1) - 1
     return max(2**budget - 1, 1) if budget >= 1 else 1
 
 
@@ -252,6 +257,7 @@ def qsgd_aggregator(s: int):
     """Each device quantized by QSGD with s levels and its own dither, into
     three rows that one call reuses; each quantized row is weighted in place
     and added to the estimate in device order, as ``baseline_aggregate`` adds."""
+    _check_levels("level count", s, sys.float_info.max)
 
     def aggregate(vectors, c, seed):
         x, c = _stack(vectors, c)
@@ -268,20 +274,24 @@ def qsgd_aggregator(s: int):
 def uniform_aggregator(bits_per_element: int):
     """Each device rotated by the public rotation and quantized uniformly.
 
-    Rotation, quantization and the c-weighted sum take one row block at a
-    time in one reused buffer; de-rotation is linear and shared, so the sum
-    is de-rotated once instead of once per device.
+    The +-1 diagonals are drawn once per call. Rotation, quantization and
+    the c-weighted sum take one row block at a time in one reused buffer;
+    de-rotation is linear and shared, so the sum is de-rotated once, in
+    place, instead of once per device.
     """
+    _check_levels("bits_per_element", bits_per_element, sys.float_info.max_exp)
 
     def aggregate(vectors, c, seed):
         x, c = _stack(vectors, c)
-        rotation = seed_stream(seed, "rotation")
-        total = np.zeros(x.shape[1])
-        for block, y in _apply_segments(x, rotation, inverse=False):
-            total += c[block] @ _quantize_rotated(y, bits_per_element)
-            del y  # the block buffer is freed with the generator, before de-rotation
-        charges = np.full(len(c), bits_per_element + SCALAR_BITS / x.shape[1])
-        return haar_derotate(total, rotation), charges
+        d = _diagonals(seed_stream(seed, "rotation"), x.shape[1])
+        blocks = row_blocks(*x.shape)
+        y, total = np.empty((blocks[0].stop, x.shape[1])), np.zeros(x.shape[1])
+        for b in blocks:
+            rows = _rotate_rows(x[b], d, False, y[: b.stop - b.start])
+            total += c[b] @ _quantize_rotated(rows, bits_per_element)
+        del y, rows  # not held while the sum is de-rotated
+        _rotate_rows(total[None], d, True, total[None])
+        return total, np.full(len(c), bits_per_element + SCALAR_BITS / x.shape[1])
 
     return aggregate
 
@@ -319,13 +329,15 @@ def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
         raise ValueError(f"rates must be positive and finite, got {rates}")
     if not all(0.0 <= rho < 1.0 for rho in rhos):
         raise ValueError(f"rho must be in [0, 1), got {tuple(rhos)}")
+    # Built, and their level counts checked, before any source is drawn.
+    aggregators = {(s, rate): _SWEEP_AGGREGATORS[s](M, rate) for rate in rates for s in schemes}
     rows = []
     c = np.full(M, 1.0 / M)
     for rho in rhos:
         sources = synthetic_sources(rho, M, N, seed_stream(seed, "sources", float(rho)))
         for rate in rates:
             for scheme in schemes:
-                aggregate = _SWEEP_AGGREGATORS[scheme](M, rate)
+                aggregate = aggregators[scheme, rate]
                 run_seed = seed_stream(seed, "run", scheme, float(rho), rate)
                 estimate, charges = aggregate(sources, c, run_seed)
                 # The target is formed for this measurement only, so no (N,)

@@ -50,55 +50,49 @@ def _hartley(x: np.ndarray, out: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    # One +-1 diagonal: the int64 draw of integers(0, 2, n), mapped in place.
-    d = rng.integers(0, 2, size=n)
+def _diagonals(seed: int, n: int) -> np.ndarray:
+    # D1 and D2, the +-1 int8 rows of seed_stream(seed, "hartley-signs")'s int64
+    # draws of integers(0, 2, n), one row after the other (the bits of one (2, n)
+    # draw), each freed once copied in. A float times +-1 is exact.
+    rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
+    d = np.empty((2, n), np.int8)
+    for row in d:
+        row[:] = rng.integers(0, 2, size=n)
     d *= 2
     d -= 1
-    return d.astype(np.int8)
+    return d
 
 
-def _apply_segments(v, seed: int, inverse: bool, out=None):
-    # Yields (block, y) per row block of v, a vector or row-stacked vectors:
-    # y holds the block's rows rotated (inverse: de-rotated) in out[block],
-    # or without out in one buffer that every block reuses. A block's full
-    # segments take one batched transform and the tail one more, in views of
-    # y (C-ordered rows), each with complex scratch of its own size that is
-    # freed before the block is yielded: the caller's work on y never runs
-    # beside it. The +-1 diagonals are drawn once per call, row by row (the
-    # bits of one (2, n) draw), and held as int8 rows: a float times +-1 is
-    # exact, so the map is unchanged.
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
-    rng = np.random.default_rng(seed_stream(seed, "hartley-signs"))
-    d1, d2 = (_signs(rng, n) for _ in range(2))
+def _rotate_rows(x, d, inverse: bool, y) -> np.ndarray:
+    # Rotates (inverse: de-rotates) x, a (k, n) block of rows, into y, a C-ordered
+    # (k, n) array that may be x, and returns y; d is _diagonals'. The full segments
+    # take one batched transform and the tail one more, in views of y, each span
+    # with complex scratch of its own, freed before the next span's is made.
+    k, n = x.shape
     full = n - n % DEFAULT_SEGMENT_LEN
-    spans = [s for s in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)) if s[0] < s[1]]
-    stacked = (math.prod(v.shape[:-1]), n)
-    rows, blocks = v.reshape(stacked), row_blocks(*stacked)
-    step = blocks[0].stop if blocks else 0
-    dest = np.empty((step, n)) if out is None else out.reshape(stacked)
-    for block in blocks:
-        k = block.stop - block.start
-        y_rows = dest[:k] if out is None else dest[block]
-        for lo, hi, seg in spans:
-            s1, s2 = d1[lo:hi].reshape(-1, seg), d2[lo:hi].reshape(-1, seg)
-            x, y = (a[:, lo:hi].reshape(k, -1, seg) for a in (rows[block], y_rows))
-            f = np.empty((k, (hi - lo) // seg, seg // 2 + 1), complex)
-            _hartley(x if inverse else np.multiply(s1, x, out=y), y, f)
-            y *= s2
-            _hartley(y, y, f)
-            del f
-            if inverse:
-                y *= s1
-        yield block, y_rows
+    for lo, hi, seg in ((0, full, DEFAULT_SEGMENT_LEN), (full, n, n - full)):
+        if lo == hi:
+            continue
+        s1, s2 = d[:, lo:hi].reshape(2, -1, seg)
+        xs, ys = (a[:, lo:hi].reshape(k, -1, seg) for a in (x, y))
+        f = np.empty((k, (hi - lo) // seg, seg // 2 + 1), complex)
+        _hartley(xs if inverse else np.multiply(s1, xs, out=ys), ys, f)
+        ys *= s2
+        _hartley(ys, ys, f)
+        del f
+        if inverse:
+            ys *= s1
+    return y
 
 
 def _rotated(v, seed: int, inverse: bool) -> np.ndarray:
-    out = np.empty(np.shape(v))
-    for _ in _apply_segments(v, seed, inverse, out):
-        pass
-    return out
+    v = np.asarray(v, dtype=float)
+    stacked = (math.prod(v.shape[:-1]), v.shape[-1])
+    rows, out = v.reshape(stacked), np.empty(stacked)
+    d = _diagonals(seed, stacked[1])
+    for block in row_blocks(*stacked):
+        _rotate_rows(rows[block], d, inverse, out[block])
+    return out.reshape(v.shape)
 
 
 def haar_rotate(g_tilde, seed: int):

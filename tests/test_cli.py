@@ -244,6 +244,14 @@ class TestSweep:
                                    "--schemes", schemes])
         assert "rates must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schemes", ["uniform", "qsgd"])
+    def test_rejects_a_level_count_past_the_floats(self, capsys, tmp_path, schemes):
+        # 2^1100 uniform cells, or 2^1099 - 1 QSGD levels, exited 1 with an OverflowError.
+        assert_rejected(tmp_path, ["sweep-distortion", "--rho", "0.5", "--rates", "1100",
+                                   "--M", "3", "--N", "64", "--seed", "1",
+                                   "--schemes", schemes])
+        assert "error: config:" in capsys.readouterr().err
+
 
 class TestFlTrain:
     def test_runs_and_deterministic(self, capsys, tmp_path):
@@ -279,6 +287,12 @@ class TestFlTrain:
                     "--aggregator", spec, "--seed", "1", "--out", str(tmp_path / "out.csv")]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [row.split(",")[-1] for row in rows] == [rate_max, rate_max]
+
+    def test_rejects_bits_past_the_floats(self, capsys, tmp_path):
+        # 2^1100 cells exited 1 with an OverflowError in the first round.
+        assert_rejected(tmp_path, ["fl-train", "--devices", "2", "--dim", "4", "--rounds", "1",
+                                   "--aggregator", "uniform:1100", "--seed", "1"])
+        assert "bits_per_element must be in [1, 1024)" in capsys.readouterr().err
 
     def test_mbtc_requires_budget(self, capsys):
         assert run(["fl-train", "--devices", "2", "--dim", "8", "--rounds", "1",

@@ -125,6 +125,26 @@ class TestQsgd:
         with pytest.raises(ValueError):
             qsgd_quantize(np.ones(4), 0, seed=0)
 
+    @pytest.mark.parametrize("s", [2**1024 - 1, np.inf, np.nan], ids=["2^1024-1", "inf", "nan"])
+    def test_rejects_a_level_count_past_the_floats(self, s):
+        # 2^1024 - 1 levels (rate 1025) raised an OverflowError when scaled in.
+        with pytest.raises(ValueError, match="level count must be in"):
+            qsgd_quantize(np.ones(4), s, seed=0)
+        with pytest.raises(ValueError, match="level count must be in"):
+            qsgd_aggregator(s)
+
+    def test_rate_1024_still_quantizes(self):
+        s = qsgd_levels_for_rate(1024.0)
+        assert s == 2**1023 - 1
+        v = np.random.default_rng(7).standard_normal(64)
+        out, bits = qsgd_aggregator(s)(v[None], [1.0], 3)
+        assert np.abs(out - v).max() < 1e-12 and bits[0] == 1 + 1023 + 64 / 64
+
+    def test_levels_for_a_huge_rate_are_capped(self):
+        # The count past every float is formed at 2^1024 - 1, not digit by
+        # digit for the rate, and QSGD rejects it.
+        assert qsgd_levels_for_rate(1025.0) == qsgd_levels_for_rate(1e300) == 2**1024 - 1
+
     def test_levels_for_rate(self):
         assert qsgd_levels_for_rate(1.0) == 1
         assert qsgd_levels_for_rate(2.0) == 1
@@ -175,6 +195,21 @@ class TestRotatedUniform:
         with pytest.raises(ValueError):
             rotated_uniform_quantize(np.ones(4), 0, seed=0)
 
+    @pytest.mark.parametrize("bits", [0, 1024, 1100])
+    def test_rejects_bits_whose_cell_count_is_past_the_floats(self, bits):
+        # 2^1024 cells raised an OverflowError; the aggregator now checks
+        # when it is built, before any round.
+        with pytest.raises(ValueError, match=r"bits_per_element must be in \[1, 1024\)"):
+            _quantize_rotated(np.ones((2, 4)), bits)
+        with pytest.raises(ValueError, match=r"bits_per_element must be in \[1, 1024\)"):
+            uniform_aggregator(bits)
+
+    def test_1023_bits_still_quantize(self):
+        v = np.random.default_rng(8).standard_normal((2, 64))
+        out, charges = uniform_aggregator(1023)(v, [0.5, 0.5], 3)
+        assert np.abs(out - v.mean(axis=0)).max() < 1e-12
+        assert np.array_equal(charges, np.full(2, 1023 + 1.0))
+
 
 class TestBaselineAggregate:
     def test_weighted_sum(self):
@@ -204,10 +239,10 @@ class TestBaselineAggregate:
             raise AssertionError("work started before the input was checked")
 
         with mock.patch.object(simulate, "qsgd_quantize", no_work), mock.patch.object(
-            simulate, "_apply_segments", no_work
-        ), mock.patch.object(simulate, "row_blocks", no_work), mock.patch.object(
-            mm_symmetric, "optimize_symmetric", no_work
-        ):
+            simulate, "_diagonals", no_work
+        ), mock.patch.object(simulate, "_rotate_rows", no_work), mock.patch.object(
+            simulate, "row_blocks", no_work
+        ), mock.patch.object(mm_symmetric, "optimize_symmetric", no_work):
             for call in calls.values():
                 with pytest.raises(ValueError, match="share one length"):
                     call([np.ones(3), np.ones(4)], [0.5, 0.5])
@@ -281,6 +316,17 @@ class TestAggregatorSeedRule:
         estimate, charges = qsgd_aggregator(3)(vectors, c, 21)
         assert np.array_equal(estimate, baseline_aggregate([e[0] for e in qsgd], c))
         assert np.array_equal(charges, [e[1] for e in qsgd])
+
+    def test_uniform_draws_its_diagonals_once(self):
+        # The forward rotation and the de-rotation of the sum share one draw
+        # of the +-1 diagonals; the de-rotation once drew them again.
+        vectors = np.random.default_rng(16).standard_normal((3, 2500))
+        with mock.patch.object(transform, "seed_stream", wraps=transform.seed_stream) as streams:
+            estimate, _ = uniform_aggregator(2)(vectors, np.full(3, 1 / 3), 23)
+        assert [call.args[1:] for call in streams.call_args_list] == [("hartley-signs",)]
+        rotation = seed_stream(23, "rotation")
+        rows = uniform_rows(vectors, 2, rotation)
+        assert np.array_equal(estimate, haar_derotate(np.full(3, 1 / 3) @ rows, rotation))
 
     def test_uniform_zero_row_quantizes_to_zeros(self):
         rng = np.random.default_rng(15)
@@ -570,6 +616,20 @@ class TestSweep:
         with mock.patch.object(simulate, "synthetic_sources", no_work):
             with pytest.raises(ValueError, match="rates must be positive and finite"):
                 sweep_distortion((0.5,), (1.0, rate), 3, 64, 1, ("mbtc", "qsgd", "uniform"))
+
+    @pytest.mark.parametrize("scheme, message", [
+        ("uniform", r"bits_per_element must be in \[1, 1024\)"),
+        ("qsgd", "level count must be in"),
+    ], ids=["uniform", "qsgd"])
+    def test_rejects_a_level_count_past_the_floats_before_drawing_sources(self, scheme, message):
+        # Rate 1100 needs 2^1100 uniform cells or 2^1099 - 1 QSGD levels; both
+        # raised an OverflowError inside the aggregator, after sources were drawn.
+        def no_work(*args, **kwargs):
+            raise AssertionError("sources drawn before the level counts were checked")
+
+        with mock.patch.object(simulate, "synthetic_sources", no_work):
+            with pytest.raises(ValueError, match=message):
+                sweep_distortion((0.5,), (1.0, 1100.0), 3, 64, 1, ("mbtc", scheme))
 
     @pytest.mark.parametrize("rho", [1.0, -0.1, np.nan])
     def test_rejects_a_late_rho_before_drawing_sources(self, rho):
