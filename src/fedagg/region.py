@@ -123,11 +123,12 @@ def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
     return w
 
 
-def distortion(model: GaussianSourceModel, q) -> float:
-    """Aggregation distortion v(q) = c'Sc - c'S(S+Q)^{-1}Sc, clamped at zero."""
+def distortion(model: GaussianSourceModel, q, w=None) -> float:
+    """Aggregation distortion v(q) = c'Sc - c'S(S+Q)^{-1}Sc = c'Sc - c'S w,
+    clamped at zero; w = mmse_combiner(model, q), solved here unless given."""
     f = ~np.isposinf(_qvec(q, model.M))
     a = model.sigma_x @ model.c
-    w = mmse_combiner(model, q)
+    w = mmse_combiner(model, q) if w is None else w
     return max(float(model.c @ model.sigma_x @ model.c) - float(a[f] @ w[f]), 0.0)
 
 

@@ -5,8 +5,9 @@ Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
 (estimate of c @ vectors, charged bits per device). Each call checks its input
 once, in ``_stack``, before any quantizer, rotation or optimizer runs, then
 walks the (M, N) stack in blocks, holding a fraction of it. A call with seed s
-shares the public rotation seed_stream(s, "rotation") among all devices, and
-device m draws its dither from seed_stream(s, "dev", m).
+draws one stream per purpose: seed_stream(s, "rotation") for the uniform
+baseline's public rotation, seed_stream(s, "qsgd") for QSGD's dither (row m
+is device m's), and seed_stream(s, "aux-noise") for mbtc's one noise row.
 
 Baselines are charged their emitted symbol widths; mbtc the singleton rates
 I(x_m; u_m | u_{-m}) at the optimized q under the empirical covariance, which
@@ -22,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mm_symmetric
-from .model import (
-    GaussianSourceModel,
-    MbtcParams,
-    RateBudget,
-    SymmetricSourceModel,
-)
+from .model import GaussianSourceModel, MbtcParams, RateBudget, SymmetricSourceModel
 from .region import _qvec, _rates, _required_bits, distortion, mmse_combiner
 from .seeds import seed_stream
 from .transform import (
@@ -67,15 +63,16 @@ def measure_distortion(target, estimate) -> float:
 
 def mbtc_noise_surrogate(n: int, w, q_star, seed: int):
     """Combined test-channel noise w @ z of the decoder-output surrogate, for
-    the MMSE combiner w solved at q_star: device m adds z_m ~ N(0, q_m I_n)
-    from seed_stream(seed, "aux-noise", m), a silent device (q_m = +inf) none."""
+    the MMSE combiner w solved at q_star, where device m adds z_m ~ N(0, q_m I_n)
+    and a silent device (q_m = +inf) none. Drawn by its law: one N(0, I_n) row
+    of seed_stream(seed, "aux-noise") times sqrt(sum_m w_m^2 q_m) over the
+    devices that speak; zeros, with nothing drawn, when every device is silent."""
     qv = _qvec(q_star, len(w))
-    out, z = np.zeros(n), np.empty(n)
-    for m in np.flatnonzero(~np.isposinf(qv)):
-        rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
-        rng.standard_normal(out=z)
-        z *= w[m] * np.sqrt(qv[m])
-        out += z
+    speak = ~np.isposinf(qv)
+    if not speak.any():
+        return np.zeros(n)
+    out = np.random.default_rng(seed_stream(seed, "aux-noise")).standard_normal(n)
+    out *= math.sqrt(float(np.square(np.asarray(w, dtype=float)[speak]) @ qv[speak]))
     return out
 
 
@@ -110,9 +107,9 @@ def mbtc_aggregate(
     batch: DeviceUpdateBatch, c, budget: RateBudget, seed: int = 0
 ) -> AggregationResult:
     """Estimate statistics, fit the grouped model and optimize q on it, add
-    auxiliary noise, combine. All devices share the public rotation R of
-    seed_stream(seed, "rotation"), so R^-1 (w @ (R x + z)) = w @ x +
-    R^-1 (w @ z): only the noise is de-rotated."""
+    auxiliary noise, combine. Under a public orthogonal rotation R the decoder
+    forms R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z), and R^-1 (w @ z) has the
+    law of w @ z: no rotation runs, and one noise row is added to w @ x."""
     rates = _rates(budget, batch.M)
     c, x, mu = np.asarray(c, dtype=float), batch.updates, batch.means[:, None]
     # Column blocks, each mean-removed on its own: no copy of the stack is made.
@@ -132,16 +129,14 @@ def mbtc_aggregate(
         # stay silent and the means carry c @ updates.
         q = MbtcParams(np.full(batch.M, np.inf))
     w = mmse_combiner(model, q)
-    noise = mbtc_noise_surrogate(batch.N, w, q, seed)
-    estimate = haar_derotate(noise, seed_stream(seed, "rotation"))
-    del noise
+    estimate = mbtc_noise_surrogate(batch.N, w, q, seed)
     estimate += float(c @ batch.means)
     for b in cols:
         estimate[b] += w @ (x[:, b] - mu)
     return AggregationResult(
         estimate=estimate,
         rate_report=_required_bits(model, q, np.eye(batch.M, dtype=bool)),
-        predicted_distortion=distortion(model, q),
+        predicted_distortion=distortion(model, q, w),
         q=q,
     )
 
@@ -151,27 +146,13 @@ def _check_levels(name: str, value, top) -> None:
         raise ValueError(f"{name} must be in [1, {top}), got {value}")
 
 
-def qsgd_quantize(v, s: int, seed: int, rows=None):
-    """Unbiased stochastic quantization to levels {0, 1/s, ..., 1} of |v|/||v||.
-
-    Charged bits/symbol: sign + fixed-width level index per element, plus one
-    64-bit norm scalar. rows: three float rows of v's length to work in
-    (fresh ones if None), the first of which is returned.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[0]
-    _check_levels("level count", s, sys.float_info.max)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return v.copy(), SCALAR_BITS / n
-    r, low, u = (np.empty(n) for _ in range(3)) if rows is None else rows
-    np.multiply(np.divide(np.abs(v, out=r), norm, out=r), s, out=r)  # |v| / norm * s
-    np.subtract(r, np.floor(r, out=low), out=r)
-    # Round up with probability r - low: xi = (low + (u < r - low)) / s.
-    low += np.less(np.random.default_rng(seed_stream(seed, "qsgd")).random(out=u), r, out=u)
-    low /= s
-    np.multiply(np.multiply(np.sign(v, out=r), norm, out=r), low, out=r)  # norm * sign(v) * xi
-    return r, (n * (1 + math.ceil(math.log2(s + 1))) + SCALAR_BITS) / n
+def qsgd_quantize(v, s: int, seed: int):
+    """Unbiased stochastic quantization to levels {0, 1/s, ..., 1} of |v|/||v||,
+    dithered by seed_stream(seed, "qsgd"): the QSGD aggregator on v alone with
+    weight 1, bit for bit (1 * x and 0 + x are exact). Charged bits/symbol: sign
+    + fixed-width level index per element, plus one 64-bit norm scalar."""
+    total, charges = qsgd_aggregator(s)(np.asarray(v, dtype=float)[None], np.ones(1), seed)
+    return total, float(charges[0])
 
 
 # MSE-optimal uniform step, in sigma, for a unit Gaussian at 1..6 bits
@@ -254,18 +235,33 @@ def error_free_aggregator():
 
 
 def qsgd_aggregator(s: int):
-    """Each device quantized by QSGD with s levels and its own dither, into
-    three rows that one call reuses; each quantized row is weighted in place
-    and added to the estimate in device order, as ``baseline_aggregate`` adds."""
+    """Each device quantized by QSGD with s levels, dithered by row m of one
+    stream, seed_stream(seed, "qsgd"), a row block at a time in three reused
+    buffers. A row's norm is the root of its sum of squares, taken on this
+    thread; a zero row quantizes to zeros and is charged its norm scalar only.
+    Weighted rows are added in device order, as ``baseline_aggregate`` adds."""
     _check_levels("level count", s, sys.float_info.max)
 
     def aggregate(vectors, c, seed):
         x, c = _stack(vectors, c)
-        rows, total, charges = np.empty((3, x.shape[1])), np.zeros(x.shape[1]), np.empty(len(c))
-        for m, v in enumerate(x):
-            v_hat, charges[m] = qsgd_quantize(v, s, seed_stream(seed, "dev", m), rows)
-            v_hat *= c[m]
-            total += v_hat
+        n, rng = x.shape[1], np.random.default_rng(seed_stream(seed, "qsgd"))
+        charge = (n * (1 + math.ceil(math.log2(s + 1))) + SCALAR_BITS) / n
+        blocks = row_blocks(*x.shape)
+        buffers, total, charges = np.empty((3, blocks[0].stop, n)), np.zeros(n), np.empty(len(c))
+        for b in blocks:
+            r, low, u = buffers[:, : b.stop - b.start]
+            norm = np.sqrt(np.sum(np.square(x[b], out=r), axis=1, keepdims=True))
+            scale = np.where(norm == 0.0, 1.0, norm)  # a zero row's levels are all 0
+            np.multiply(np.divide(np.abs(x[b], out=r), scale, out=r), s, out=r)  # |v| / norm * s
+            np.subtract(r, np.floor(r, out=low), out=r)
+            # Round up with probability r - low: xi = (low + (u < r - low)) / s.
+            low += np.less(rng.random(out=u), r, out=u)
+            low /= s
+            np.multiply(np.multiply(np.sign(x[b], out=r), scale, out=r), low, out=r)  # norm sign(v) xi
+            r *= c[b, None]
+            for row in r:
+                total += row
+            charges[b] = np.where(norm[:, 0] == 0.0, SCALAR_BITS / n, charge)
         return total, charges
 
     return aggregate

@@ -455,11 +455,11 @@ def stacked_quantize_rotated(x, bits: int, unit_step: float) -> np.ndarray:
     return x
 
 
-def rotate_everything_mbtc(updates, c, q, seed: int):
-    """The mbtc estimate by the long road: rotate the whole mean-removed
-    stack by the rotation of seed_stream(seed, "rotation"), add device m's
-    N(0, q_m) noise from seed_stream(seed, "aux-noise", m) (none for a silent
-    device), MMSE-combine with w = (S + Q)^-1 S c over the devices that
+def rotate_everything_mbtc(updates, c, q, seed: int, noise):
+    """The mbtc estimate by the long road, on a noise stack that the caller
+    supplies: rotate the whole mean-removed stack by the rotation of
+    seed_stream(seed, "rotation"), add noise row m to device m (none to a
+    silent device), MMSE-combine with w = (S + Q)^-1 S c over the devices that
     speak, de-rotate, and add c . means."""
     updates = np.asarray(updates, dtype=float)
     c, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
@@ -472,24 +472,22 @@ def rotate_everything_mbtc(updates, c, q, seed: int):
     w = np.zeros(len(q))
     w[speak] = np.linalg.solve(sigma[np.ix_(speak, speak)] + np.diag(q[speak]), (sigma @ c)[speak])
     u = np.zeros_like(x)
-    for m in speak:
-        rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
-        u[m] = x[m] + np.sqrt(q[m]) * rng.standard_normal(x.shape[1])
+    u[speak] = x[speak] + noise[speak]
     return rotation_reference(w @ u, rotation, inverse=True) + c @ means
 
 
-def allocating_qsgd(v, s: int, seed: int) -> np.ndarray:
-    """QSGD as the library computed it before it worked in reused rows: each
-    step returns a new array. The same operations in the same order, so the
-    in-place quantizer must equal it bit for bit."""
+def allocating_qsgd(v, s: int, dither) -> np.ndarray:
+    """QSGD of one row v with the uniform dither row that the caller draws, as
+    the library computes it but with each step returning a new array: the norm
+    is the root of the row's sum of squares, and the same operations run in
+    the same order, so the library's quantizer must equal it bit for bit."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    norm = float(np.sqrt(np.sum(v * v)))
     if norm == 0.0:
-        return v.copy()
+        return np.zeros_like(v)
     r = np.abs(v) / norm * s
     low = np.floor(r)
-    rng = np.random.default_rng(seed_stream(seed, "qsgd"))
-    xi = (low + (rng.random(v.shape[0]) < (r - low))) / s
+    xi = (low + (dither < (r - low))) / s
     return norm * np.sign(v) * xi
 
 
@@ -505,11 +503,12 @@ def whole_stack_uniform(vectors, c, bits: int, seed: int) -> np.ndarray:
 
 
 def whole_stack_mbtc(updates, c, q, seed: int):
-    """The mbtc estimate at a given q as the library formed it from one
+    """The mbtc estimate at a given q as the library forms it, from one
     mean-removed copy g of the whole stack: Sigma = g g^T / N, w the MMSE
-    combiner over the devices that speak, and R^-1 (w @ z) + c . means +
-    w @ g, with device m's N(0, q_m) noise from seed_stream(seed,
-    "aux-noise", m). Returns the estimate and Sigma."""
+    combiner over the devices that speak, and xi + c . means + w @ g. The
+    noise xi is sqrt(sum_m w_m^2 q_m), over the devices that speak, times the
+    one N(0, I) row of seed_stream(seed, "aux-noise"), and zeros when every
+    device is silent. Returns the estimate and Sigma."""
     updates = np.asarray(updates, dtype=float)
     c, q = np.asarray(c, dtype=float), np.asarray(q, dtype=float)
     means = updates.mean(axis=1)
@@ -519,11 +518,10 @@ def whole_stack_mbtc(updates, c, q, seed: int):
     w = np.zeros(len(q))
     w[speak] = np.linalg.solve(sigma[np.ix_(speak, speak)] + np.diag(q[speak]), (sigma @ c)[speak])
     z = np.zeros(g.shape[1])
-    for m in speak:
-        rng = np.random.default_rng(seed_stream(seed, "aux-noise", int(m)))
-        z += w[m] * np.sqrt(q[m]) * rng.standard_normal(g.shape[1])
-    estimate = rotation_reference(z, seed_stream(seed, "rotation"), inverse=True) + c @ means
-    return estimate + w @ g, sigma
+    if speak.size:
+        rng = np.random.default_rng(seed_stream(seed, "aux-noise"))
+        z = np.sqrt(np.sum(w[speak] ** 2 * q[speak])) * rng.standard_normal(g.shape[1])
+    return z + c @ means + w @ g, sigma
 
 
 def theta_decimal(rho, sigma2, M: int, q, s: int, digits: int = 50) -> float:

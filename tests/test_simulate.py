@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedagg import mm_symmetric, simulate, transform
+from fedagg import mm_symmetric, region, simulate, transform
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
@@ -42,6 +42,7 @@ from oracles import (
     allocating_qsgd,
     allocating_segments,
     rotate_everything_mbtc,
+    rotation_reference,
     stacked_quantize_rotated,
     whole_stack_mbtc,
     whole_stack_uniform,
@@ -102,6 +103,28 @@ class TestNoiseSurrogate:
     def test_rejects_q_off_the_combiner(self):
         with pytest.raises(ValueError, match="2 test-channel variances for 3 devices"):
             mbtc_noise_surrogate(10, np.ones(3), MbtcParams([0.5, 0.5]), seed=0)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 300),
+        w=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5),
+        q=st.lists(st.one_of(st.floats(0.05, 5.0), st.just(np.inf)), min_size=5, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_is_one_white_row_of_the_combined_variance(self, n, w, q, seed):
+        # R^-1 (w @ z) has the law of sqrt(sum_m w_m^2 q_m) xi, xi ~ N(0, I),
+        # over the devices that speak: one standard-normal row of the call's
+        # aux-noise stream, scaled. With every device silent nothing is drawn.
+        w, q = np.array(w), np.array(q)
+        w[np.isinf(q)] = 0.0  # the combiner gives a silent device no weight
+        speak = np.isfinite(q)
+        if not speak.any():
+            with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drawn")):
+                assert np.array_equal(mbtc_noise_surrogate(n, w, q, seed), np.zeros(n))
+            return
+        xi = np.random.default_rng(seed_stream(seed, "aux-noise")).standard_normal(n)
+        scale = np.sqrt(np.sum(w[speak] ** 2 * q[speak]))
+        np.testing.assert_allclose(mbtc_noise_surrogate(n, w, q, seed), scale * xi, rtol=1e-13, atol=0.0)
 
 
 class TestQsgd:
@@ -312,10 +335,15 @@ class TestAggregatorSeedRule:
         per_device = baseline_aggregate([e[0] for e in uniform], c)
         assert np.abs(estimate - per_device).max() <= 1e-12 * max(1.0, np.abs(estimate).max())
         assert np.array_equal(charges, [e[1] for e in uniform])
-        qsgd = [qsgd_quantize(v, 3, seed_stream(21, "dev", m)) for m, v in enumerate(vectors)]
+        # QSGD: device m dithers by row m of the call's one stream, and the
+        # quantized rows enter the estimate in device order.
+        dither = np.random.default_rng(seed_stream(21, "qsgd")).random((3, 300))
         estimate, charges = qsgd_aggregator(3)(vectors, c, 21)
-        assert np.array_equal(estimate, baseline_aggregate([e[0] for e in qsgd], c))
-        assert np.array_equal(charges, [e[1] for e in qsgd])
+        expect = np.zeros(300)
+        for c_m, v, u in zip(c, vectors, dither):
+            expect += c_m * allocating_qsgd(v, 3, u)
+        assert np.array_equal(estimate, expect)
+        assert np.array_equal(charges, np.full(3, (300 * 3 + 64) / 300))
 
     def test_uniform_draws_its_diagonals_once(self):
         # The forward rotation and the de-rotation of the sum share one draw
@@ -345,7 +373,40 @@ class TestAggregatorSeedRule:
         assert charge == rotated_uniform_quantize(vectors[0], 2, rotation)[1]
 
 
+class TestOneGeneratorPerCall:
+    """Each aggregation call builds one generator for its randomness, seeded
+    by the call's stream for that purpose; mbtc runs no rotation."""
+
+    def test_mbtc_and_qsgd_build_one_generator_each(self):
+        x = synthetic_sources(0.7, 8, 64, seed=31)
+        c = np.full(8, 1 / 8)
+
+        def no_rotation(*args, **kwargs):
+            raise AssertionError("mbtc rotated")
+
+        for aggregate, purpose in (
+            (mbtc_aggregator(RateBudget(np.full(8, 3.0))), "aux-noise"),
+            (qsgd_aggregator(4), "qsgd"),
+        ):
+            with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rngs, \
+                    mock.patch.object(transform, "_rotate_rows", no_rotation), \
+                    mock.patch.object(simulate, "_rotate_rows", no_rotation):
+                aggregate(x, c, 5)
+            assert [call.args for call in rngs.call_args_list] == [(seed_stream(5, purpose),)]
+
+
 class TestMbtcAggregate:
+    def test_predicted_distortion_reads_the_one_combiner(self):
+        # The combiner is solved once per call, and the predicted distortion
+        # taken from it equals region.distortion's own solve bit for bit.
+        x = synthetic_sources(0.8, 5, 1000, seed=33)
+        with mock.patch.object(simulate, "mmse_combiner", wraps=mmse_combiner) as solves, \
+                mock.patch.object(region, "mmse_combiner", solves):
+            res = mbtc_aggregate(DeviceUpdateBatch(x), np.full(5, 0.2), RateBudget(np.full(5, 2.0)), 3)
+        assert solves.call_count == 1
+        model, q = solves.call_args.args
+        assert res.predicted_distortion == distortion(model, q) > 0.0
+
     def test_empirical_tracks_predicted(self):
         rho, M, N = 0.8, 4, 2**15
         y = np.stack(synthetic_sources(rho, M, N, seed=6))
@@ -478,22 +539,28 @@ class TestMbtcAggregate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_rotate_everything_pipeline(self, M, blocks, tail, q, seed):
-        # Only the combined noise is de-rotated; rotating every device first,
-        # as the decoder sees them, gives the same estimate up to rounding.
-        # The optimizer is replaced by the drawn q, silent devices included;
-        # each device has its own budget, so each is one group.
+        # R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z): with its noise row set to
+        # the de-rotated w @ z of a noise stack z that the test draws, the
+        # estimate equals rotating every device first, as the decoder sees
+        # them, up to rounding. The optimizer is replaced by the drawn q,
+        # silent devices included; each device has its own budget, so each is
+        # one group.
         seg = DEFAULT_SEGMENT_LEN
         n = blocks * seg + 1 + int(tail * (seg - 1))
         rng = np.random.default_rng(seed)
         updates = rng.standard_normal((M, n)) * rng.uniform(0.1, 3.0, (M, 1)) + rng.normal(0, 2, (M, 1))
         c = rng.uniform(0.1, 1.0, M)
         q = MbtcParams(q[:M])
+        noise = rng.standard_normal((M, n)) * np.sqrt(np.where(np.isinf(q.q), 1.0, q.q))[:, None]
+        rotation = seed_stream(seed, "rotation")
         batch = DeviceUpdateBatch(updates=updates)
         drawn = SimpleNamespace(q_groups=q.q)
-        with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn):
+        with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn), \
+                mock.patch.object(simulate, "mbtc_noise_surrogate",
+                                  lambda n, w, q, seed: rotation_reference(w @ noise, rotation, True)):
             res = mbtc_aggregate(batch, c, RateBudget(np.arange(1.0, M + 1)), seed=seed)
         assert np.array_equal(res.q.q, q.q)
-        expect = rotate_everything_mbtc(updates, c, q.q, seed)
+        expect = rotate_everything_mbtc(updates, c, q.q, seed, noise)
         assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(res.estimate).max())
 
 
@@ -540,14 +607,16 @@ class TestSmallBlocks:
             ]
             assert np.abs(res.rate_report - rates).max() <= 1e-12 * max(1.0, np.abs(rates).max())
             # QSGD with the sweep's 2^bits - 1 levels: bit for bit the in-order
-            # sum of the per-device quantizer, whose rows equal the allocating
-            # formula's.
+            # sum of the allocating formula's rows, row m dithered by row m of
+            # the call's one stream however the stack is cut into row blocks;
+            # one row alone is the formula with its own stream's first row.
             s = 2**bits - 1
+            dither = np.random.default_rng(seed_stream(seed, "qsgd")).random((M, n))
             total = np.zeros(n)
             for m, v in enumerate(zeroed):
-                row = allocating_qsgd(v, s, seed_stream(seed, "dev", m))
-                assert np.array_equal(qsgd_quantize(v, s, seed_stream(seed, "dev", m))[0], row)
-                total += c[m] * row
+                total += c[m] * allocating_qsgd(v, s, dither[m])
+                alone = np.random.default_rng(seed_stream(seed + m, "qsgd")).random(n)
+                assert np.array_equal(qsgd_quantize(v, s, seed + m)[0], allocating_qsgd(v, s, alone))
             assert np.array_equal(qsgd_aggregator(s)(zeroed, c, seed)[0], total)
 
     @settings(max_examples=30)
@@ -653,10 +722,10 @@ class TestPeakMemory:
     while that block is transformed, the sign rows and numpy's cast buffers
     for the int8 factors (1.16); de-rotating one row holds the same at row
     size (2.4 rows, 0.24 stacks). The aggregators hold a fraction of one
-    stack: mbtc its combined noise while it is de-rotated (0.35); the
+    stack: mbtc its estimate row and one mean-removed column block (0.21); the
     uniform aggregator one rotated block and its (N,) sum, with no FFT
     scratch left beside the quantizer (0.35); the QSGD aggregator its sum and
-    three reused quantizer rows (0.40). A sweep row, whose sources are
+    three reused one-row quantizer blocks (0.40). A sweep row, whose sources are
     counted, holds the sources plus the largest of these (1.40): it keeps no
     target row while an aggregator runs, but forms c @ sources for each
     measurement only. A two-rho row holds the same, since one rho's sources
