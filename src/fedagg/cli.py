@@ -39,13 +39,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _out_path(path, default_name):
-    if path:
-        return path
-    outdir = os.environ.get("FEDAGG_OUTDIR", ".")
-    return os.path.join(outdir, default_name)
-
-
 def _write_outputs(out, header, rows, config, seed=None, csv_suffix=None):
     """Write rows as CSV to out, or to its stem + csv_suffix, then <stem>_meta.json."""
     stem = os.path.splitext(out)[0]
@@ -105,7 +98,7 @@ def cmd_optimize(args) -> int:
     else:
         res = mm_general.optimize(model, budget, eps=args.eps, max_iter=args.max_iter)
         trace = res.trace
-    out_json = _out_path(args.out, "optimize.json")
+    out_json = args.out or "optimize.json"
     payload = {
         "q_star": [float(v) for v in res.q.q],
         "D_star": res.distortion,
@@ -136,7 +129,7 @@ def cmd_sweep(args) -> int:
         schemes=args.schemes.split(","),
     )
     _write_outputs(
-        _out_path(args.out, "sweep.csv"),
+        args.out or "sweep.csv",
         ["scheme", "rho", "rate_bits [bits/symbol]", "charged_bits [bits/symbol]",
          "distortion [squared error per symbol]", "seed"],
         rows,
@@ -184,7 +177,7 @@ def cmd_fl_train(args) -> int:
             )
         )
     _write_outputs(
-        _out_path(args.out, "fl_train.csv"),
+        args.out or "fl_train.csv",
         ["round", "loss_gap [loss units]", "error_energy [squared error per symbol]",
          "bound_value [loss units]", "rate_max [bits/symbol]"],
         rows,

@@ -16,9 +16,13 @@ optimum. With d = 2^(2r) - 1, q* lies in [a/d, sigma2/d]. The ratio
 1/2 s log2(1 + a/q); it is at most 1 + s u <= (1 + u)^s, and
 (1 + a/q)(1 + u) = 1 + sigma2/q, so theta(q, s) <= 1/2 s log2(1 + sigma2/q).
 The ends differ by the factor 1 / (1 - rho) and meet at rho = 0, where
-q* = sigma2/d. Inside the bracket, the Illinois method (regula falsi in log q
-that halves the value kept at an end twice in a row; Dowell and Jarratt, BIT
-11, 1971) on the exact rows finds q* to the last bit.
+q* = sigma2/d. theta(q, s) is convex in s with theta(q, 0) = 0 (see below),
+so theta(q, s) / s rises in s and the sum-rate row s = M binds. In y = 1/q
+it reads 1/2 [(M - 1) log2(1 + a y) + log2(1 + c y)] - M r with
+c = sigma2 (1 + (M - 1) rho), concave and rising, so each Newton step in y
+from the feasible start sigma2/d lands between the last point and the root
+(Ortega and Rheinboldt, 1970): q falls monotonically to q*, and at rho = 0
+the start is q* and no step runs.
 
 J >= 2 runs MM on the tangent surrogate of ``mm_general`` on the group
 subspace. There theta(q, s) + 1/2 s . log2 q is the concave part of the
@@ -64,6 +68,7 @@ from .mm_general import (
     solve_surrogate,
 )
 from .model import Q_MIN, MbtcParams, SymmetricSourceModel
+from .region import single_source_rd
 
 MAX_SELECTIONS = 10**6
 NUDGES = 8  # steps of 1, 2, 4, ... ulps that pull a rounded-out q into the exact rows
@@ -143,56 +148,42 @@ def _solve_one_group(model: SymmetricSourceModel, worst):
     """Feasible start q0 and the smallest q, clamped at Q_MIN, with
     worst(q) <= 0.
 
-    worst(q) is the largest exact row scaled by M / s: the same sign as the
-    largest row, but every scaled row then has a like slope in log q, so
-    regula falsi does not stall where the binding row changes. Illinois steps
-    in log q inside the closed-form bracket [a/d, sigma2/d] of the module
-    docstring, with a geometric-midpoint fallback; returns the feasible end
-    once the bracket stops shrinking.
+    worst(q) is the largest exact row scaled by M / s: the sum-rate row up
+    to rounding. The start sigma2/d is pulled in by ``_pull_in`` if rounding
+    leaves it outside, and doubled if that fails. Newton steps in y = 1/q
+    with the sum-rate row's slope (module docstring) run until one fails to
+    lower q or reaches the lower end a/d; a step that rounding lands just
+    outside is pulled in and ends the solve.
     """
-    (_, rate), = model.groups
-    with np.errstate(over="ignore"):
-        d = np.expm1(2.0 * np.log(2.0) * rate)  # 2^(2r) - 1, inf past the float range
-        lo, hi = (1.0 - model.rho) * model.sigma2 / d, model.sigma2 / d
-    if not np.isfinite(hi):
+    (size, rate), = model.groups
+    a = (1.0 - model.rho) * model.sigma2
+    c = a + size * model.rho * model.sigma2
+    lowest = single_source_rd(a, rate)[0]
+    q = single_source_rd(model.sigma2, rate)[0]
+    if not np.isfinite(q):
         raise SolverError(f"one-group optimum exceeds the float range at rate {rate}")
-    if hi <= Q_MIN:
+    if q <= Q_MIN:
         return Q_MIN, Q_MIN
-    f_lo, f_hi = None, worst(hi)
-    for k in range(NUDGES):  # rounding can leave the closed-form end just infeasible
-        if f_hi <= 0.0:
-            break
-        lo, f_lo, hi = hi, f_hi, hi + np.spacing(hi) * 2.0**k
-        f_hi = worst(hi)
-    if f_hi > 0.0:
-        lo, f_lo = hi, f_hi
-        hi = doubling_start(2.0 * hi, 1, lambda q: worst(q) <= 0.0)[0]
-        f_hi = worst(hi)
-    q0 = hi
-    if f_lo is None:  # the closed-form lower end, unless hi binds or the ends meet (rho = 0)
-        if f_hi == 0.0 or not lo < hi:
-            return q0, hi
-        lo = max(lo, Q_MIN)
-        f_lo = worst(lo)
-        if f_lo <= 0.0:
-            return q0, lo
-    side = 0  # the end the last step moved: +1 the feasible one, -1 the other
-    while f_hi != 0.0:
-        q = hi * np.exp(np.log(lo / hi) * (f_hi / (f_hi - f_lo)))
-        if not lo < q < hi:
-            q = lo * np.sqrt(hi / lo)
-            if not lo < q < hi:
-                break
+
+    def pulled_in(x, fx):  # x, where worst reads fx > 0, pulled in; None if no nudge holds
+        nudged = _pull_in(x, lambda z: fx if z == x else worst(z))
+        return None if nudged == x else nudged
+
+    f = worst(q)
+    if f > 0.0:
+        q = pulled_in(q, f) or doubling_start(2.0 * q, 1, lambda x: worst(x) <= 0.0)[0]
         f = worst(q)
-        if f <= 0.0:
-            if side == 1:
-                f_lo *= 0.5
-            hi, f_hi, side = q, f, 1
-        else:
-            if side == -1:
-                f_hi *= 0.5
-            lo, f_lo, side = q, f, -1
-    return q0, hi
+    q0 = q
+    while f < 0.0:
+        # y - f / g'(y), where y g'(y) = 1/2 log2(e) ((M - 1) a / (a + q) + c / (c + q))
+        step = max(q / (1.0 - f / (HALF_LOG2E * ((size - 1) * a / (a + q) + c / (c + q)))), Q_MIN)
+        if not lowest < step < q:
+            break
+        f_step = worst(step)
+        if f_step > 0.0:
+            return q0, min(q, pulled_in(step, f_step) or q)
+        q, f = step, f_step
+    return q0, q
 
 
 def _pull_in(q, rows):
@@ -228,10 +219,10 @@ def optimize_symmetric(
 ) -> SymmetricOptimizeResult:
     """MM loop on the grouped recast problem; expands q per device at the end.
 
-    One group runs no MM: its optimum comes from the closed-form bracket
-    (module docstring), reported as one iteration from the bracket's feasible
-    upper end. Two or more groups carry the 2^J - 1 whole-group rows; more
-    than MAX_SELECTIONS of them raise ValueError."""
+    One group runs no MM: its optimum comes from Newton steps (module
+    docstring), reported as one iteration from the single-source start. Two
+    or more groups carry the 2^J - 1 whole-group rows; more than
+    MAX_SELECTIONS of them raise ValueError."""
     if lam == 0 or not np.isfinite(lam):
         raise ValueError(f"lambda must be nonzero and finite, got {lam}")
     check_eps(eps)

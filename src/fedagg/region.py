@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GaussianSourceModel, MbtcParams, RateBudget
+from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
 
 MAX_ENUM_M = 25
 LOG2E = 1.0 / np.log(2.0)
@@ -21,10 +21,13 @@ LOG2E = 1.0 / np.log(2.0)
 
 def _qvec(q, M: int) -> np.ndarray:
     """The test-channel variances of q, an MbtcParams or an array: the one
-    reader of q, which raises ValueError unless there are exactly M."""
+    reader of q, which raises ValueError unless there are exactly M and none
+    lies below Q_MIN. A NaN entry passes, and propagates."""
     qv = q.q if isinstance(q, MbtcParams) else np.atleast_1d(np.asarray(q, dtype=float))
     if qv.shape != (M,):
         raise ValueError(f"got {qv.size} test-channel variances for {M} devices")
+    if np.any(qv < Q_MIN):
+        raise ValueError(f"all q entries must be >= {Q_MIN} (or +inf)")
     return qv
 
 
@@ -162,10 +165,13 @@ def constraint_report(model: GaussianSourceModel, q, budget: RateBudget):
 
 
 def single_source_rd(sigma2: float, R: float):
-    """Closed-form M=1 reduction: q* = s2/(2^{2R}-1), D* = s2 * 2^{-2R}."""
+    """Closed-form M=1 reduction: q* = s2/(2^{2R}-1), D* = s2 * 2^{-2R}.
+
+    2^{2R} - 1 is formed as expm1(2R ln 2), so rates far below a bit keep
+    their digits. Past the float range (R above 512) it reads inf and q* 0.0;
+    D* reads 0.0 once 2^{-2R} underflows, as at R = 600."""
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    q_star = sigma2 / (2.0 ** (2.0 * R) - 1.0)
-    d_star = sigma2 * 2.0 ** (-2.0 * R)
-    return q_star, d_star
-
+    with np.errstate(over="ignore"):
+        q_star = sigma2 / np.expm1(2.0 * np.log(2.0) * R)
+    return float(q_star), sigma2 * 2.0 ** (-2.0 * R)

@@ -536,6 +536,23 @@ def theta_decimal(rho, sigma2, M: int, q, s: int, digits: int = 50) -> float:
         return float(nats / (2 * Decimal(2).ln()))
 
 
+def single_source_decimal(sigma2, R, digits: int = 50):
+    """(q*, D*) = (sigma2 / (2^{2R} - 1), sigma2 2^{-2R}) from ``digits``-digit
+    decimal arithmetic on the exact values of the float inputs; 2^{2R} - 1
+    is summed as a series where it would cancel."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = 2 * Decimal(R) * Decimal(2).ln()
+        if x > 1:
+            d = x.exp() - 1
+        else:  # x + x^2/2! + ...: at x <= 1 the 2 digits-th term is below 10^-digits
+            term, d = Decimal(1), Decimal(0)
+            for k in range(1, 2 * digits):
+                term *= x / k
+                d += term
+        return float(Decimal(sigma2) / d), float(Decimal(sigma2) / (d + 1))
+
+
 def bisect_one_group(feasible, q0: np.ndarray) -> np.ndarray:
     """Smallest q, clamped at Q_MIN, that meets the exact one-group rows
     (feasible(q)); q0 is feasible. Each row falls strictly in q, so

@@ -502,13 +502,13 @@ class TestOneGroupExact:
     @pytest.mark.parametrize(
         "rho, sigma2, M, r, calls",
         [
-            # Independent sources: the bracket is one point.
-            (0.0, 1.0, 8, 3.0, 2),
-            (0.0, 0.0137, 8, 3.0, 2),
-            (0.0, 420.0, 8, 3.0, 2),
-            (0.0, 2.5, 30, 1.0, 2),
+            # Independent sources: the single-source start is the optimum.
+            (0.0, 1.0, 8, 3.0, 1),
+            (0.0, 0.0137, 8, 3.0, 1),
+            (0.0, 420.0, 8, 3.0, 1),
+            (0.0, 2.5, 30, 1.0, 1),
             # The sweep's model (mbtc at 2 bits, rho 0.9, 10 devices).
-            (0.9, 1.0, 10, 2.0, 25),
+            (0.9, 1.0, 10, 2.0, 9),
         ],
     )
     def test_theta_call_budget(self, monkeypatch, rho, sigma2, M, r, calls):

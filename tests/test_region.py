@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,12 @@ from fedagg.region import (
     sum_mutual_info,
 )
 
-from oracles import grid_mutual_informations, mc_conditional_mi, mc_mmse_distortion
+from oracles import (
+    grid_mutual_informations,
+    mc_conditional_mi,
+    mc_mmse_distortion,
+    single_source_decimal,
+)
 
 
 def make_model(rho, sigma2, m, c=None):
@@ -283,6 +289,22 @@ class TestSingleSourceRd:
         with pytest.raises(ValueError):
             single_source_rd(1.0, 0.0)
 
+    @pytest.mark.parametrize("rate", [1e-300, 1e-15, 1e-10, 1e-4, 0.5, 3.0])
+    def test_matches_50_digit_arithmetic(self, rate):
+        # 2.0 ** (2R) - 1 lost the digits of rates far below a bit: q* read
+        # 7.506e14 against 7.213e14 at R = 1e-15.
+        q_ref, d_ref = single_source_decimal(1.0, rate)
+        q_star, d_star = single_source_rd(1.0, rate)
+        assert q_star == pytest.approx(q_ref, rel=1e-15, abs=0.0)
+        assert d_star == pytest.approx(d_ref, rel=1e-15, abs=0.0)
+
+    def test_past_the_float_range(self):
+        # 2.0 ** (2R) raised OverflowError from R = 512.
+        assert single_source_decimal(1.0, 600.0) == (0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert single_source_rd(1.0, 600.0) == (0.0, 0.0)
+
     def test_distortion_at_rd_point(self):
         for rate in (0.25, 1.0, 3.0):
             q_star, d_star = single_source_rd(2.0, rate)
@@ -307,7 +329,8 @@ BUDGET_READERS = {
     "optimize": optimize,
 }
 # (reader, argument, message): every q that is too short, too long or a
-# scalar, as an array and as MbtcParams, and every budget of M +- 1 rates.
+# scalar, as an array and as MbtcParams, every array with an entry below the
+# floor, and every budget of M +- 1 rates.
 LENGTH_CASES = [
     pytest.param(Q_READERS[name], wrap(q),
                  f"got {np.size(q)} test-channel variances for 2 devices",
@@ -315,6 +338,13 @@ LENGTH_CASES = [
     for name in Q_READERS
     for wrap in (np.asarray, MbtcParams)
     for kind, q in (("short", [0.5]), ("long", [0.5, 0.5, 0.5]), ("scalar", 0.5))
+] + [
+    # Sub-floor arrays were read as given: distortion returned 0.0 at
+    # q = (-0.5, 1), and sum_mutual_info inf at q = (0, 1).
+    pytest.param(Q_READERS[name], np.array([low, 1.0]), "must be >= 1e-12",
+                 id=f"{name}-below-floor-{low}")
+    for name in Q_READERS
+    for low in (-0.5, 0.0, 1e-13, -np.inf)
 ] + [
     pytest.param(BUDGET_READERS[name], RateBudget(np.ones(n)),
                  f"got a budget of {n} rates for 2 devices", id=f"{name}-budget{n}")
