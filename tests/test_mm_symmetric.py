@@ -499,6 +499,34 @@ class TestOneGroupExact:
         assert np.all(exact_rows(model, [sigma2 / d], sel) <= tol)
         assert np.all(exact_rows(model, [(1.0 - rho) * sigma2 / d], sel) >= -tol)
 
+    @staticmethod
+    def _count_theta_calls(monkeypatch, rho, sigma2, M, r):
+        theta_calls = []
+
+        def counted(*args):
+            theta_calls.append(args)
+            return theta(*args)
+
+        monkeypatch.setattr(mm_symmetric, "theta", counted)
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
+        optimize_symmetric(model, lam=1.0 / M)
+        return len(theta_calls)
+
+    @pytest.mark.parametrize(
+        "rho, sigma2, M, r, calls",
+        [
+            # Ceilings the solve has always met; the Newton counts below are
+            # the tight ones.
+            (0.0, 1.0, 8, 3.0, 2),
+            (0.0, 0.0137, 8, 3.0, 2),
+            (0.0, 420.0, 8, 3.0, 2),
+            (0.0, 2.5, 30, 1.0, 2),
+            (0.9, 1.0, 10, 2.0, 25),
+        ],
+    )
+    def test_theta_call_budget(self, monkeypatch, rho, sigma2, M, r, calls):
+        assert 1 <= self._count_theta_calls(monkeypatch, rho, sigma2, M, r) <= calls
+
     @pytest.mark.parametrize(
         "rho, sigma2, M, r, calls",
         [
@@ -511,17 +539,8 @@ class TestOneGroupExact:
             (0.9, 1.0, 10, 2.0, 9),
         ],
     )
-    def test_theta_call_budget(self, monkeypatch, rho, sigma2, M, r, calls):
-        theta_calls = []
-
-        def counted(*args):
-            theta_calls.append(args)
-            return theta(*args)
-
-        monkeypatch.setattr(mm_symmetric, "theta", counted)
-        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=((M, r),))
-        optimize_symmetric(model, lam=1.0 / M)
-        assert 1 <= len(theta_calls) <= calls
+    def test_newton_theta_call_budget(self, monkeypatch, rho, sigma2, M, r, calls):
+        assert 1 <= self._count_theta_calls(monkeypatch, rho, sigma2, M, r) <= calls
 
     def test_infeasible_closed_form_end_falls_back_to_doubling(self, monkeypatch):
         # One extra millibit on every row puts the closed-form end far outside
