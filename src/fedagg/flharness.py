@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import _readonly
 from .seeds import seed_stream
 from .simulate import (  # noqa: F401  - aggregators are imported from here too
     baseline_aggregate,
@@ -25,25 +26,32 @@ from .simulate import (  # noqa: F401  - aggregators are imported from here too
 
 @dataclass(frozen=True)
 class QuadraticTask:
-    """Per-device ridge regression: L_m = ||A_m t - y_m||^2 / (2 K_m) + mu ||t||^2 / 2."""
+    """Per-device ridge regression: L_m = ||A_m t - y_m||^2 / (2 K_m) + mu ||t||^2 / 2,
+    the designs held as views of one read-only, zero-padded (M, K_max, N) stack."""
 
     designs: tuple  # M matrices (K_m, N)
     targets: tuple  # M vectors (K_m,)
     mu: float = 0.0
 
     def __post_init__(self):
-        designs = tuple(np.atleast_2d(np.asarray(a, dtype=float)) for a in self.designs)
-        targets = tuple(np.atleast_1d(np.asarray(y, dtype=float)) for y in self.targets)
-        if len(designs) != len(targets):
-            raise ValueError("need one target vector per design matrix")
+        designs = [np.atleast_2d(np.asarray(a, dtype=float)) for a in self.designs]
+        targets = [np.atleast_1d(np.asarray(y, dtype=float)) for y in self.targets]
+        counts = np.array([a.shape[0] for a in designs], dtype=int)
+        if not designs or len(designs) != len(targets) or not counts.all():
+            raise ValueError("need one or more devices, each with a target vector and a sample")
         n = designs[0].shape[1]
-        for a, y in zip(designs, targets):
+        stack, ys = np.zeros((counts.size, counts.max(), n)), np.zeros((counts.size, counts.max()))
+        for m, (a, y) in enumerate(zip(designs, targets)):
             if a.shape[1] != n or a.shape[0] != y.shape[0]:
                 raise ValueError("inconsistent design/target shapes")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        object.__setattr__(self, "designs", designs)
-        object.__setattr__(self, "targets", targets)
+            stack[m, : len(a)], ys[m, : len(a)] = a, y
+        if not (0 <= self.mu < np.inf and np.isfinite(stack).all() and np.isfinite(ys).all()):
+            raise ValueError(f"need finite designs, targets and mu >= 0, got mu = {self.mu}")
+        stack.flags.writeable = ys.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "designs", tuple(stack[m, :k] for m, k in enumerate(counts)))
+        object.__setattr__(self, "targets", tuple(ys[m, :k] for m, k in enumerate(counts)))
+        object.__setattr__(self, "_stacks", (stack, ys))
+        object.__setattr__(self, "sample_counts", counts)
 
     @property
     def M(self) -> int:
@@ -53,14 +61,9 @@ class QuadraticTask:
     def N(self) -> int:
         return self.designs[0].shape[1]
 
-    @property
-    def sample_counts(self) -> np.ndarray:
-        return np.array([a.shape[0] for a in self.designs], dtype=int)
-
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        counts = self.sample_counts
-        return counts / counts.sum()
+        return _readonly(self.sample_counts / self.sample_counts.sum())
 
     @cached_property
     def hessian(self) -> np.ndarray:
@@ -68,6 +71,10 @@ class QuadraticTask:
         for w, a in zip(self.weights, self.designs):
             h += w * (a.T @ a) / a.shape[0]
         return h
+
+    @cached_property
+    def hessian_eigenvalues(self) -> np.ndarray:
+        return _readonly(np.linalg.eigvalsh(self.hessian))
 
     @cached_property
     def theta_star(self) -> np.ndarray:
@@ -82,9 +89,7 @@ class QuadraticTask:
         return float(resid @ resid / (2 * a.shape[0]) + self.mu * theta @ theta / 2)
 
     def loss(self, theta) -> float:
-        return float(
-            sum(w * self.local_loss(theta, m) for m, w in enumerate(self.weights))
-        )
+        return float(sum(w * self.local_loss(theta, m) for m, w in enumerate(self.weights)))
 
     @cached_property
     def loss_star(self) -> float:
@@ -100,20 +105,27 @@ class QuadraticTask:
 
 def smoothness_constants(task: QuadraticTask):
     """(omega, Omega): extreme eigenvalues of the global Hessian."""
-    eigs = np.linalg.eigvalsh(task.hessian)
+    eigs = task.hessian_eigenvalues
     if eigs[0] <= 0:
         raise ValueError(f"task is not strongly convex (lambda_min = {eigs[0]:.3e})")
     return float(eigs[0]), float(eigs[-1])
 
 
+def _gradients(theta, task: QuadraticTask, devices) -> np.ndarray:
+    """Rows A_m^T (A_m theta - y_m) / K_m + mu theta of the indexed devices (padding adds 0)."""
+    stack, ys = task._stacks
+    a = stack[devices]
+    g = ((a @ theta - ys[devices])[:, None, :] @ a)[:, 0]
+    return g / task.sample_counts[devices, None] + task.mu * theta
+
+
 def local_gradient(theta, task: QuadraticTask, m: int) -> np.ndarray:
-    a, y = task.designs[m], task.targets[m]
-    return a.T @ (a @ theta - y) / a.shape[0] + task.mu * theta
+    return _gradients(theta, task, [m])[0]
 
 
 def fl_round(theta, task: QuadraticTask, aggregator, eta: float, round_seed: int = 0):
-    """One synchronous round: local gradients (stacked once), aggregation, global step."""
-    gradients = np.array([local_gradient(theta, task, m) for m in range(task.M)])
+    """One synchronous round: local gradients (one stack), aggregation, global step."""
+    gradients = _gradients(theta, task, slice(None))
     c = task.weights
     g_hat, rate_report = aggregator(gradients, c, round_seed)
     error_energy = measure_distortion(baseline_aggregate(gradients, c), g_hat)

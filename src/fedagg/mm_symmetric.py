@@ -211,24 +211,19 @@ class SymmetricOptimizeResult:
     iterates: tuple = ()  # q_groups per iteration, starting at the initializer
 
 
-def optimize_symmetric(
-    model: SymmetricSourceModel,
-    lam: float,
-    eps: float = 1e-6,
-    max_iter: int = 200,
-) -> SymmetricOptimizeResult:
-    """MM loop on the grouped recast problem; expands q per device at the end.
+def solve_q_groups(model: SymmetricSourceModel) -> np.ndarray:
+    """The optimal q of each group; lambda scales only the distortion. One group takes
+    Newton steps (module docstring) on the rows s = 1..M, two or more run MM on the
+    2^J - 1 whole-group rows; more than MAX_SELECTIONS of them raise ValueError."""
+    return _solve(model)[0]
 
-    One group runs no MM: its optimum comes from Newton steps (module
-    docstring), reported as one iteration from the single-source start. Two
-    or more groups carry the 2^J - 1 whole-group rows; more than
-    MAX_SELECTIONS of them raise ValueError."""
-    if lam == 0 or not np.isfinite(lam):
-        raise ValueError(f"lambda must be nonzero and finite, got {lam}")
+
+def _solve(model: SymmetricSourceModel, eps: float = 1e-6, max_iter: int = 200):
+    """(q, iterates from the start on, iterations); one group reports one iteration."""
     check_eps(eps)
     sizes = model.group_sizes
     if len(sizes) == 1:
-        selections = enumerate_selections(sizes)
+        selections = np.arange(1.0, sizes[0] + 1)[:, None]
     else:  # whole groups decide feasibility (module docstring)
         selections = sizes * enumerate_selections(np.ones_like(sizes))
     budgets = selections @ model.group_rates
@@ -236,30 +231,39 @@ def optimize_symmetric(
     def rows(q):  # exact theta(q, s) - s . r of every selection carried
         return theta(model.rho, model.sigma2, sizes, q, selections) - budgets
 
-    def objective(q):
-        return symmetric_objective(model.rho, model.sigma2, sizes, q)
-
+    if len(sizes) == 1:
+        per_device = sizes[0] / selections[:, 0]  # M / s
+        q0, q = np.reshape(_solve_one_group(model, lambda q: (rows(q) * per_device).max()), (2, 1))
+        return q, (q0, q), 1
     work = np.zeros(selections.shape[0], dtype=bool)
 
     def step(q):
         return _pull_in(solve_surrogate(_build_surrogate(model, selections, q), work), rows)
 
-    if len(sizes) == 1:
-        per_device = sizes[0] / selections[:, 0]  # M / s
-        solved = _solve_one_group(model, lambda q: (rows(q) * per_device).max())
-        q0, q = np.reshape(solved, (2, 1))
-        obj_trace, iterates, iterations = (objective(q0), objective(q)), (q0, q), 1
-    else:
-        q0 = doubling_start(model.sigma2, len(sizes), lambda q: rows(q).max() <= 0.0)
-        q, obj_trace, iterates, iterations = mm_loop(q0, objective, step, eps, max_iter)
-    d_trace = [symmetric_distortion(model, lam, x) for x in iterates]
-    d_trace += d_trace[-1:] * (len(obj_trace) - len(d_trace))  # after a regression
+    q0 = doubling_start(model.sigma2, len(sizes), lambda q: rows(q).max() <= 0.0)
+    q, _, iterates, iterations = mm_loop(
+        q0, lambda q: symmetric_objective(model.rho, model.sigma2, sizes, q), step, eps, max_iter
+    )
+    return q, iterates, iterations
+
+
+def optimize_symmetric(
+    model: SymmetricSourceModel, lam: float, eps: float = 1e-6, max_iter: int = 200
+) -> SymmetricOptimizeResult:
+    """``solve_q_groups`` with its report: q expanded per device, and the
+    objective and distortion at each iterate, the last repeated once after
+    an MM step that would have lowered the objective."""
+    if lam == 0 or not np.isfinite(lam):
+        raise ValueError(f"lambda must be nonzero and finite, got {lam}")
+    q, iterates, iterations = _solve(model, eps, max_iter)
+    sizes, rho, sigma2 = model.group_sizes, model.rho, model.sigma2
+    traced = iterates + iterates[-1:] * (iterations + 1 - len(iterates))
     return SymmetricOptimizeResult(
         q=MbtcParams(np.repeat(q, sizes)),
         q_groups=q,
         distortion=symmetric_distortion(model, lam, q),
-        trace=tuple(d_trace),
-        objective_trace=obj_trace,
+        trace=tuple(symmetric_distortion(model, lam, x) for x in traced),
+        objective_trace=tuple(symmetric_objective(rho, sigma2, sizes, x) for x in traced),
         iterations=iterations,
         n_constraints=math.prod(int(m) + 1 for m in sizes) - 1,
         iterates=iterates,

@@ -16,7 +16,7 @@ Q_MIN = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    a = np.array(a)
     a.setflags(write=False)
     return a
 
@@ -31,13 +31,13 @@ def validate_psd(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise ValueError("matrix has non-finite entries")
     scale = max(np.abs(matrix).max(), 1.0)
     if np.abs(matrix - matrix.T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric to 1e-12 relative")
     m = matrix.shape[0]
-    unit = np.trace(matrix) / max(m, 1)
+    unit = matrix.trace() / max(m, 1)
     lo = np.linalg.eigvalsh(matrix)[0]
     if lo < -1e-10 * unit:
         raise NotPositiveSemidefiniteError(
@@ -60,7 +60,7 @@ class GaussianSourceModel:
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         if c.shape != (sigma.shape[0],):
             raise ValueError(f"c has shape {c.shape}, expected ({sigma.shape[0]},)")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("c has non-finite entries")
         object.__setattr__(self, "sigma_x", _readonly(sigma))
         object.__setattr__(self, "c", _readonly(c))
@@ -113,7 +113,7 @@ class SymmetricSourceModel:
         for size, rate in groups:
             if size < 1:
                 raise ValueError(f"group size must be >= 1, got {size}")
-            if not (rate > 0 and np.isfinite(rate)):
+            if not 0 < rate < np.inf:
                 raise ValueError(f"group rate must be positive finite, got {rate}")
         object.__setattr__(self, "groups", groups)
 
@@ -172,7 +172,7 @@ class MbtcParams:
 
     def __post_init__(self):
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        if np.any(np.isnan(q)) or np.any(q < Q_MIN):
+        if np.isnan(q).any() or (q < Q_MIN).any():
             raise ValueError(f"all q entries must be >= {Q_MIN} (or +inf)")
         object.__setattr__(self, "q", _readonly(q))
 

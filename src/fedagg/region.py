@@ -11,22 +11,25 @@ that holds only silent devices requires 0 bits.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget
+from .model import Q_MIN, GaussianSourceModel, MbtcParams, RateBudget, _readonly
 
 MAX_ENUM_M = 25
 LOG2E = 1.0 / np.log(2.0)
 
 
 def _qvec(q, M: int) -> np.ndarray:
-    """The test-channel variances of q, an MbtcParams or an array: the one
-    reader of q, which raises ValueError unless there are exactly M and none
-    lies below Q_MIN. A NaN entry passes, and propagates."""
-    qv = q.q if isinstance(q, MbtcParams) else np.atleast_1d(np.asarray(q, dtype=float))
+    """The test-channel variances of q, an MbtcParams (checked when built) or
+    an array: the one reader of q, which raises ValueError unless there are
+    exactly M and none of an array's lies below Q_MIN. A NaN entry passes."""
+    raw = not isinstance(q, MbtcParams)
+    qv = np.atleast_1d(np.asarray(q, dtype=float)) if raw else q.q
     if qv.shape != (M,):
         raise ValueError(f"got {qv.size} test-channel variances for {M} devices")
-    if np.any(qv < Q_MIN):
+    if raw and (qv < Q_MIN).any():
         raise ValueError(f"all q entries must be >= {Q_MIN} (or +inf)")
     return qv
 
@@ -57,25 +60,32 @@ def _membership(S, M: int) -> np.ndarray:
 
 
 def by_complement_size(members: np.ndarray, K: np.ndarray):
-    """Group the rows of an (n, M) membership matrix by complement size.
+    """Group the rows of an (n, M) boolean membership matrix by complement size.
 
     Yields (rows, comp, blocks) per nonzero size in increasing order: the row
     numbers, the ascending device indices outside each row's subset,
     (len(rows), |S^c|), and the stacked blocks K_{S^c S^c} of the (M, M) K.
     """
-    outside = ~members
-    sizes = outside.sum(axis=1)
+    for rows, comp in _complement_plan(members.shape, members.tobytes()):
+        yield rows, comp, K[comp[:, :, None], comp[:, None, :]]
+
+
+@lru_cache(maxsize=32)  # solves ask again and again for a few membership matrices
+def _complement_plan(shape, packed: bytes):
+    outside = ~np.frombuffer(packed, dtype=bool).reshape(shape)
+    sizes, plan = outside.sum(axis=1), []
     # bincount, not np.unique: numpy 2.4's unique imports numpy.ma on first use
     for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         rows = np.flatnonzero(sizes == k)
         comp = np.nonzero(outside[rows])[1].reshape(rows.size, k)
-        yield rows, comp, K[comp[:, :, None], comp[:, None, :]]
+        plan.append((_readonly(rows), _readonly(comp)))
+    return tuple(plan)
 
 
 def _logdet2(a: np.ndarray):
     """log2-determinant of a (stack of) positive definite matrices."""
     sign, logdet = np.linalg.slogdet(a)
-    if np.any(sign <= 0):
+    if (sign <= 0).any():
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return logdet * LOG2E
 
@@ -121,7 +131,7 @@ def mmse_combiner(model: GaussianSourceModel, q) -> np.ndarray:
     f = np.flatnonzero(~np.isposinf(qv))
     if f.size:
         sigma = model.sigma_x
-        block = sigma[np.ix_(f, f)] + np.diag(qv[f])
+        block = sigma[f[:, None], f] + np.diag(qv[f])
         w[f] = np.linalg.solve(block, (sigma @ model.c)[f])
     return w
 

@@ -91,12 +91,8 @@ def _fit_symmetric(sigma: np.ndarray, rates: np.ndarray):
     devices by identical rates (group order = first occurrence); returns the
     model and each device's group index."""
     m = sigma.shape[0]
-    sigma2 = float(np.mean(np.diag(sigma)))
-    if m > 1:
-        off = sigma[~np.eye(m, dtype=bool)]
-        rho = float(np.clip(np.mean(off) / sigma2, 0.0, 1.0 - 1e-9))
-    else:
-        rho = 0.0
+    sigma2, off = float(sigma.diagonal().mean()), sigma[~np.eye(m, dtype=bool)]
+    rho = min(max(float(off.mean()) / sigma2, 0.0), 1.0 - 1e-9) if m > 1 else 0.0
     first = {}  # rate -> its group, numbered at the rate's first occurrence
     group = np.array([first.setdefault(r, len(first)) for r in rates.tolist()])
     groups = tuple((int(n), r) for n, r in zip(np.bincount(group), first))
@@ -119,11 +115,9 @@ def mbtc_aggregate(
         g = x[:, b] - mu
         gram += g @ g.T
     model = GaussianSourceModel(sigma_x=gram / batch.N, c=c)
-    if np.trace(model.sigma_x):
+    if model.sigma_x.trace():
         sym, group = _fit_symmetric(model.sigma_x, rates)
-        # lambda only scales the distortion traces (symmetric_distortion); the
-        # grouped q does not depend on it, so 1 serves any c, zero-mean c too.
-        q = MbtcParams(mm_symmetric.optimize_symmetric(sym, 1.0).q_groups[group])
+        q = MbtcParams(mm_symmetric.solve_q_groups(sym)[group])
     else:
         # Zero trace: no device varies, or the Gram matrix underflowed. All devices
         # stay silent and the means carry c @ updates.

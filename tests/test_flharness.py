@@ -1,9 +1,13 @@
 """Tests for the quadratic FL training harness and convergence bound."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedagg import mm_symmetric, model
 from fedagg.flharness import (
     QuadraticTask,
     error_free_aggregator,
@@ -46,6 +50,33 @@ class TestTask:
         lo, hi = power_iteration_extremes(task.hessian)
         assert omega == pytest.approx(lo, rel=1e-6)
         assert big_omega == pytest.approx(hi, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "designs, targets, mu",
+        [
+            ((), (), 0.1),
+            ((np.ones((2, 3)), np.zeros((0, 3))), (np.ones(2), np.zeros(0)), 0.1),
+            ((np.array([[1.0, np.nan]]),), (np.ones(1),), 0.1),
+            ((np.ones((2, 2)),), (np.array([1.0, np.inf]),), 0.1),
+            ((np.ones((2, 2)),), (np.ones(2),), np.nan),
+            ((np.ones((2, 2)),), (np.ones(2),), -0.5),
+        ],
+        ids=["no_device", "device_without_samples", "nan_design", "inf_target", "nan_mu", "negative_mu"],
+    )
+    def test_rejects_invalid_task(self, designs, targets, mu):
+        # Each once failed later, or not at all: an IndexError, NaN weights or
+        # gradients with a RuntimeWarning, or a LinAlgError in round 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                QuadraticTask(designs=designs, targets=targets, mu=mu)
+
+    def test_designs_are_views_of_one_read_only_stack(self):
+        task = QuadraticTask(designs=(np.ones((3, 2)), np.ones((1, 2))), targets=(np.ones(3), np.ones(1)))
+        assert task.designs[1].base is task.designs[0].base
+        assert task.designs[1].shape == (1, 2) and task.targets[1].shape == (1,)
+        for a in (task.designs[0], task.targets[0], task.weights, task.sample_counts):
+            assert not a.flags.writeable
 
     def test_rejects_nonconvex(self):
         task = QuadraticTask(
@@ -135,6 +166,25 @@ class TestTraining:
         assert np.array_equal(a.loss_gap, b.loss_gap)
         assert np.array_equal(a.error_energy, b.error_energy)
 
+    def test_work_per_run_and_per_mbtc_round(self):
+        # The Hessian is decomposed once per task, however many runs share it;
+        # each mbtc round validates one covariance and makes one theta call
+        # (the one-group solve at the fitted rho = 0 starts at its optimum),
+        # and builds no selection list and no distortion trace.
+        task = random_task(8, 64, samples_per_device=32, seed=800)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            for seed in (1, 2):
+                run_training(task, error_free_aggregator(), T=3, seed=seed)
+        assert eig.call_count == 1
+        T = 10
+        with mock.patch.object(mm_symmetric, "theta", wraps=mm_symmetric.theta) as theta, \
+                mock.patch.object(model, "validate_psd", wraps=model.validate_psd) as psd, \
+                mock.patch.object(mm_symmetric, "enumerate_selections") as selections, \
+                mock.patch.object(mm_symmetric, "symmetric_distortion") as distortion:
+            run_training(task, mbtc_aggregator(RateBudget(np.full(8, 3.0))), T=T, seed=5)
+        assert (theta.call_count, psd.call_count) == (T, T)
+        assert selections.call_count == distortion.call_count == 0
+
     def test_rejects_zero_rounds(self):
         task = random_task(1, 2, samples_per_device=5, seed=15)
         with pytest.raises(ValueError):
@@ -142,6 +192,36 @@ class TestTraining:
 
 
 class TestFlRound:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        N=st.integers(1, 12),
+        counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        mu=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_stacked_gradients_match_the_per_device_formula(self, N, counts, mu, seed):
+        # Unequal sample counts pad the design stack with zero rows.
+        rng = np.random.default_rng(seed)
+        designs = [rng.standard_normal((k, N)) for k in counts]
+        targets = [rng.standard_normal(k) for k in counts]
+        task = QuadraticTask(designs=tuple(designs), targets=tuple(targets), mu=mu)
+        theta = rng.standard_normal(N)
+        seen = []
+
+        def capture(vectors, c, seed):
+            seen.append(vectors.copy())
+            return error_free_aggregator()(vectors, c, seed)
+
+        fl_round(theta, task, capture, eta=0.01)
+        (gradients,) = seen
+        for m, (a, y) in enumerate(zip(designs, targets)):
+            expect = a.T @ (a @ theta - y) / len(y) + mu * theta
+            # The same sums in another order: each entry is within 1e-12 of
+            # its absolute-value form.
+            scale = np.abs(a).T @ (np.abs(a) @ np.abs(theta) + np.abs(y)) / len(y) + mu * np.abs(theta)
+            assert np.all(np.abs(gradients[m] - expect) <= 1e-12 * scale)
+            assert np.array_equal(local_gradient(theta, task, m), gradients[m])
+
     def test_error_energy_zero_when_exact(self):
         task = random_task(2, 6, samples_per_device=12, seed=16)
         theta, energy, report = fl_round(

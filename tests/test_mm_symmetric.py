@@ -126,6 +126,36 @@ class TestGroupedSurrogate:
         assert np.all(problem.value(q) >= exact_rows(model, q, sel) - 1e-9)
 
 
+class TestSolveQGroups:
+    """The q-only solve, which mbtc calls without lambda, against the report
+    that optimize_symmetric builds around the same solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.floats(0.0, 0.95, exclude_max=True),
+        sigma2=st.floats(0.01, 10.0),
+        groups=st.lists(
+            st.tuples(st.integers(1, 6), st.floats(0.25, 3.0)), min_size=1, max_size=3
+        ),
+        lams=st.lists(st.sampled_from([1e-3, 0.125, 1.0, -2.5, 40.0]), min_size=1, max_size=3),
+    )
+    def test_matches_optimize_symmetric_bit_for_bit(self, rho, sigma2, groups, lams):
+        model = SymmetricSourceModel(rho=rho, sigma2=sigma2, groups=tuple(groups))
+        q = mm_symmetric.solve_q_groups(model)
+        for lam in lams:
+            assert q.tobytes() == optimize_symmetric(model, lam).q_groups.tobytes()
+
+    def test_one_group_builds_no_selections_and_no_traces(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("the q-only one-group solve builds no selection or trace")
+
+        for name in ("enumerate_selections", "symmetric_distortion", "symmetric_objective"):
+            monkeypatch.setattr(mm_symmetric, name, no_call)
+        model = SymmetricSourceModel(rho=0.9, sigma2=1.0, groups=((10, 2.0),))
+        q = mm_symmetric.solve_q_groups(model)
+        assert q.shape == (1,) and exact_rows(model, q, np.arange(1, 11)[:, None]).max() <= 0.0
+
+
 class TestSymmetricDistortion:
     def test_matches_matrix_form(self):
         rng = np.random.default_rng(12)

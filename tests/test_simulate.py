@@ -1,7 +1,6 @@
 """Tests for the aggregation simulator and quantizer baselines."""
 
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -265,7 +264,7 @@ class TestBaselineAggregate:
             simulate, "_diagonals", no_work
         ), mock.patch.object(simulate, "_rotate_rows", no_work), mock.patch.object(
             simulate, "row_blocks", no_work
-        ), mock.patch.object(mm_symmetric, "optimize_symmetric", no_work):
+        ), mock.patch.object(mm_symmetric, "solve_q_groups", no_work):
             for call in calls.values():
                 with pytest.raises(ValueError, match="share one length"):
                     call([np.ones(3), np.ones(4)], [0.5, 0.5])
@@ -496,7 +495,7 @@ class TestMbtcAggregate:
         def no_optimizer(*args, **kwargs):
             raise AssertionError("no optimizer may run on a zero covariance")
 
-        monkeypatch.setattr(mm_symmetric, "optimize_symmetric", no_optimizer)
+        monkeypatch.setattr(mm_symmetric, "solve_q_groups", no_optimizer)
         updates = np.array([[1.5] * 8, [-0.25] * 8, [3.0] * 8])
         c = np.array([0.2, 0.3, 0.5])
         batch = DeviceUpdateBatch(updates=updates)
@@ -554,8 +553,7 @@ class TestMbtcAggregate:
         noise = rng.standard_normal((M, n)) * np.sqrt(np.where(np.isinf(q.q), 1.0, q.q))[:, None]
         rotation = seed_stream(seed, "rotation")
         batch = DeviceUpdateBatch(updates=updates)
-        drawn = SimpleNamespace(q_groups=q.q)
-        with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn), \
+        with mock.patch.object(mm_symmetric, "solve_q_groups", lambda model: q.q), \
                 mock.patch.object(simulate, "mbtc_noise_surrogate",
                                   lambda n, w, q, seed: rotation_reference(w @ noise, rotation, True)):
             res = mbtc_aggregate(batch, c, RateBudget(np.arange(1.0, M + 1)), seed=seed)
@@ -595,10 +593,10 @@ class TestSmallBlocks:
                 assert np.abs(estimate - alone).max() <= 1e-12 * max(1.0, np.abs(alone).max())
             assert np.array_equal(charges, np.full(M, bits + 64 / n))
             # mbtc at the drawn q, each device its own group.
-            drawn = SimpleNamespace(q_groups=np.array(q[:M]))
-            with mock.patch.object(mm_symmetric, "optimize_symmetric", lambda model, lam: drawn):
+            drawn = np.array(q[:M])
+            with mock.patch.object(mm_symmetric, "solve_q_groups", lambda model: drawn):
                 res = mbtc_aggregate(DeviceUpdateBatch(updates), c, RateBudget(np.arange(1.0, M + 1)), seed)
-            expect, sigma = whole_stack_mbtc(updates, c, drawn.q_groups, seed)
+            expect, sigma = whole_stack_mbtc(updates, c, drawn, seed)
             assert np.abs(res.estimate - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
             model = GaussianSourceModel(sigma_x=sigma, c=c)
             rates = [
@@ -636,7 +634,7 @@ class TestSmallBlocks:
         updates = np.repeat(np.array(levels[:M])[:, None] / 8.0, n, axis=1)
         c = np.random.default_rng(seed).uniform(0.1, 1.0, M)
         with mock.patch.object(transform, "BLOCK_ELEMENTS", 64), mock.patch.object(
-            mm_symmetric, "optimize_symmetric", no_optimizer
+            mm_symmetric, "solve_q_groups", no_optimizer
         ):
             res = mbtc_aggregate(DeviceUpdateBatch(updates), c, RateBudget(np.full(M, 2.0)), seed)
         assert np.all(np.isposinf(res.q.q))
