@@ -9,7 +9,6 @@ from .model import (  # noqa: F401
     MbtcParams,
     RateBudget,
     SymmetricSourceModel,
-    empirical_covariance,
     symmetric_covariance,
     validate_psd,
 )

@@ -177,15 +177,6 @@ class MbtcParams:
         object.__setattr__(self, "q", _readonly(q))
 
 
-def empirical_covariance(updates) -> np.ndarray:
-    """Cross second moments g_i . g_j / N of mean-removed update vectors,
-    given as an (M, N) array (used without a copy) or M equal-length vectors."""
-    g = np.asarray(updates, dtype=float)
-    if g.ndim != 2:
-        raise ValueError("all update vectors must be 1-D with equal length")
-    return g @ g.T / g.shape[1]
-
-
 def load_model(text: str):
     """Parse a model JSON document, as ``to_json`` writes it, into the matching
     model type: a document with "rho" is a SymmetricSourceModel, any other a

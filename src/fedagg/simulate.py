@@ -2,9 +2,10 @@
 achievability scheme, baseline quantizers, and distortion/rate measurement.
 
 Aggregators, shared by the sweep and the FL harness, map (vectors, c, seed) to
-(estimate of c @ vectors, charged bits per device). Each call checks its input
-once, in ``_stack``, before any quantizer, rotation or optimizer runs, then
-walks the (M, N) stack in blocks, holding a fraction of it. A call with seed s
+(estimate of c @ vectors, charged bits per device). Each call, a direct
+``mbtc_aggregate`` one too, checks its input once, in ``_stack``, before any
+quantizer, rotation or optimizer runs, then walks the (M, N) stack in blocks,
+holding a fraction of it. A call with seed s
 draws one stream per purpose: seed_stream(s, "rotation") for the uniform
 baseline's public rotation, seed_stream(s, "qsgd") for QSGD's dither (row m
 is device m's), and seed_stream(s, "aux-noise") for mbtc's one noise row.
@@ -106,30 +107,31 @@ def mbtc_aggregate(
     auxiliary noise, combine. Under a public orthogonal rotation R the decoder
     forms R^-1 (w @ (R x + z)) = w @ x + R^-1 (w @ z), and R^-1 (w @ z) has the
     law of w @ z: no rotation runs, and one noise row is added to w @ x."""
-    rates = _rates(budget, batch.M)
-    c, x, mu = np.asarray(c, dtype=float), batch.updates, batch.means[:, None]
+    x, c = _stack(batch.updates, c)
+    (M, N), mu = x.shape, x.mean(axis=1, keepdims=True)
+    rates = _rates(budget, M)
     # Column blocks, each mean-removed on its own: no copy of the stack is made.
-    cols = row_blocks(batch.N, batch.M)
-    gram = np.zeros((batch.M, batch.M))
+    cols = row_blocks(N, M)
+    gram = np.zeros((M, M))
     for b in cols:
         g = x[:, b] - mu
         gram += g @ g.T
-    model = GaussianSourceModel(sigma_x=gram / batch.N, c=c)
+    model = GaussianSourceModel(sigma_x=gram / N, c=c)
     if model.sigma_x.trace():
         sym, group = _fit_symmetric(model.sigma_x, rates)
         q = MbtcParams(mm_symmetric.solve_q_groups(sym)[group])
     else:
         # Zero trace: no device varies, or the Gram matrix underflowed. All devices
         # stay silent and the means carry c @ updates.
-        q = MbtcParams(np.full(batch.M, np.inf))
+        q = MbtcParams(np.full(M, np.inf))
     w = mmse_combiner(model, q)
-    estimate = mbtc_noise_surrogate(batch.N, w, q, seed)
-    estimate += float(c @ batch.means)
+    estimate = mbtc_noise_surrogate(N, w, q, seed)
+    estimate += float(c @ mu[:, 0])
     for b in cols:
         estimate[b] += w @ (x[:, b] - mu)
     return AggregationResult(
         estimate=estimate,
-        rate_report=_required_bits(model, q, np.eye(batch.M, dtype=bool)),
+        rate_report=_required_bits(model, q, np.eye(M, dtype=bool)),
         predicted_distortion=distortion(model, q, w),
         q=q,
     )
@@ -206,13 +208,20 @@ def _stack(vectors, c):
     return x, c
 
 
+def _add_rows(total, rows, weights, out) -> None:
+    """total += w_m * row_m in device order, each product formed in out, a reused
+    row: the target's and QSGD's one sum. A loop, as np.add.reduce may sum one
+    column pairwise and np.add.accumulate takes ~6x as long on rows of 2^17."""
+    for w, row in zip(weights, rows):
+        total += np.multiply(w, row, out=out)
+
+
 def baseline_aggregate(vectors, c):
     """c @ vectors as the in-order sum total += c_m * v from 0, over the
     checked stack: the target every aggregator is measured against."""
     x, c = _stack(vectors, c)
     total = np.zeros(x.shape[1])
-    for c_m, v in zip(c, x):
-        total += c_m * v
+    _add_rows(total, x, c, np.empty(x.shape[1]))
     return total
 
 
@@ -233,7 +242,7 @@ def qsgd_aggregator(s: int):
     stream, seed_stream(seed, "qsgd"), a row block at a time in three reused
     buffers. A row's norm is the root of its sum of squares, taken on this
     thread; a zero row quantizes to zeros and is charged its norm scalar only.
-    Weighted rows are added in device order, as ``baseline_aggregate`` adds."""
+    Weighted rows are added in device order by ``_add_rows``, as in the target."""
     _check_levels("level count", s, sys.float_info.max)
 
     def aggregate(vectors, c, seed):
@@ -252,9 +261,7 @@ def qsgd_aggregator(s: int):
             low += np.less(rng.random(out=u), r, out=u)
             low /= s
             np.multiply(np.multiply(np.sign(x[b], out=r), scale, out=r), low, out=r)  # norm sign(v) xi
-            r *= c[b, None]
-            for row in r:
-                total += row
+            _add_rows(total, r, c[b], u[0])  # u is free once r is quantized
             charges[b] = np.where(norm[:, 0] == 0.0, SCALAR_BITS / n, charge)
         return total, charges
 
@@ -290,8 +297,7 @@ def mbtc_aggregator(budget: RateBudget):
     """The mbtc pipeline, charged its singleton rates."""
 
     def aggregate(vectors, c, seed):
-        x, c = _stack(vectors, c)
-        res = mbtc_aggregate(DeviceUpdateBatch(x), c, budget, seed=seed)
+        res = mbtc_aggregate(DeviceUpdateBatch(vectors), c, budget, seed=seed)
         return res.estimate, res.rate_report
 
     return aggregate
@@ -315,6 +321,8 @@ def sweep_distortion(rhos, rates, M: int, N: int, seed: int, schemes):
     if not set(schemes) <= _SWEEP_AGGREGATORS.keys():
         raise ValueError(f"unknown scheme in {tuple(schemes)!r}")
     rates = [float(rate) for rate in rates]
+    if not (rates and len(rhos) and len(schemes)):
+        raise ValueError(f"a sweep needs a rho, a rate and a scheme, got {rhos}, {rates}, {schemes}")
     if not all(0.0 < rate < math.inf for rate in rates):
         raise ValueError(f"rates must be positive and finite, got {rates}")
     if not all(0.0 <= rho < 1.0 for rho in rhos):

@@ -1,5 +1,5 @@
 """Data pre/post-processing: segmented random rotation and the update-batch
-container, which holds the updates and their means.
+container, which holds the updates alone.
 
 Segments of DEFAULT_SEGMENT_LEN coordinates (the tail shorter) are rotated by
 a randomized Hartley transform (one real FFT per Hartley pass, no stored
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -112,23 +111,8 @@ def haar_derotate(x, seed: int):
 
 @dataclass(frozen=True)
 class DeviceUpdateBatch:
-    """Raw local updates (an (M, N) float array, held without a copy) and
-    their per-device means; no mean-removed copy is made. The rotation is not
-    carried: it follows the seed of the call that aggregates the batch."""
+    """Raw local updates, an (M, N) float array or M equal-length vectors, held
+    as given; ``mbtc_aggregate`` checks them in ``simulate._stack``. The rotation
+    is not carried: it follows the seed of the call that aggregates the batch."""
 
     updates: np.ndarray  # (M, N)
-
-    def __post_init__(self):
-        object.__setattr__(self, "updates", np.atleast_2d(np.asarray(self.updates, dtype=float)))
-
-    @property
-    def M(self) -> int:
-        return self.updates.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.updates.shape[1]
-
-    @cached_property
-    def means(self) -> np.ndarray:
-        return self.updates.mean(axis=1)

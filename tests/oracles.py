@@ -17,7 +17,7 @@ from itertools import combinations, product
 import numpy as np
 
 from fedagg.barrier import interior_start, minimize_linear
-from fedagg.model import Q_MIN, empirical_covariance
+from fedagg.model import Q_MIN
 from fedagg.seeds import seed_stream
 from fedagg.simulate import GAUSSIAN_STEP
 from fedagg.transform import DEFAULT_SEGMENT_LEN
@@ -362,6 +362,13 @@ def assumption1_sources(spec: Assumption1Spec, N: int, seed: int):
         else:
             base[i] = spec.taus[i] * z
     return [spec.coefficients[m] @ base for m in range(spec.coefficients.shape[0])]
+
+
+def empirical_covariance(updates) -> np.ndarray:
+    """Cross second moments g_i . g_j / N of an (M, N) stack or of M
+    equal-length vectors, as given (no mean is removed)."""
+    g = np.asarray(updates, dtype=float)
+    return g @ g.T / g.shape[1]
 
 
 def gaussianization_check(rotated, pre_rotation) -> dict:

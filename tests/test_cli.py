@@ -244,6 +244,12 @@ class TestSweep:
                                    "--schemes", schemes])
         assert "rates must be positive and finite" in capsys.readouterr().err
 
+    def test_rejects_an_empty_rate_list(self, capsys, tmp_path):
+        # "--rates ," exited 0 and wrote a CSV with only its header.
+        assert_rejected(tmp_path, ["sweep-distortion", "--rho", "0.5", "--rates", ",",
+                                   "--M", "3", "--N", "64", "--seed", "1"])
+        assert "a sweep needs a rho, a rate and a scheme" in capsys.readouterr().err
+
     @pytest.mark.parametrize("schemes", ["uniform", "qsgd"])
     def test_rejects_a_level_count_past_the_floats(self, capsys, tmp_path, schemes):
         # 2^1100 uniform cells, or 2^1099 - 1 QSGD levels, exited 1 with an OverflowError.

@@ -9,7 +9,6 @@ from fedagg.model import (
     MbtcParams,
     RateBudget,
     SymmetricSourceModel,
-    empirical_covariance,
     load_model,
     symmetric_covariance,
     validate_psd,
@@ -46,43 +45,6 @@ class TestSymmetricCovariance:
             np.testing.assert_allclose(eigs[-1], (1 + (m - 1) * rho) * s2, rtol=1e-12)
             if m > 1:
                 np.testing.assert_allclose(eigs[:-1], (1 - rho) * s2, rtol=1e-12)
-
-
-class TestEmpiricalCovariance:
-    def test_constant_vector_mean_removed_is_zero(self):
-        g = np.array([1.0, 1.0])
-        g_tilde = g - g.mean()
-        np.testing.assert_array_equal(
-            empirical_covariance([g_tilde, g_tilde]), np.zeros((2, 2))
-        )
-
-    def test_orthogonal_unit_energy(self):
-        cov = empirical_covariance([np.array([1.0, -1.0]), np.array([1.0, 1.0])])
-        np.testing.assert_allclose(cov, np.eye(2))
-
-    def test_correlated_gaussian_recovers_rho(self):
-        n = 2**17
-        rng = np.random.default_rng(123)
-        shared = rng.standard_normal(n)
-        rho = 0.9
-        vecs = []
-        for _ in range(2):
-            w = rng.standard_normal(n)
-            y = np.sqrt(rho) * shared + np.sqrt(1 - rho) * w
-            vecs.append(y - y.mean())
-        cov = empirical_covariance(vecs)
-        assert abs(cov[0, 1] - rho) < 0.01
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        vecs = [rng.standard_normal(100) for _ in range(3)]
-        a = empirical_covariance(vecs)
-        b = empirical_covariance(vecs)
-        assert np.array_equal(a, b)
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            empirical_covariance([np.zeros(3), np.zeros(4)])
 
 
 class TestValidatePsd:

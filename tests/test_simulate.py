@@ -1,18 +1,18 @@
 """Tests for the aggregation simulator and quantizer baselines."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedagg import mm_symmetric, region, simulate, transform
 from fedagg.model import (
     GaussianSourceModel,
     MbtcParams,
     RateBudget,
-    empirical_covariance,
     symmetric_covariance,
     validate_psd,
 )
@@ -40,6 +40,7 @@ from fedagg.transform import DEFAULT_SEGMENT_LEN, DeviceUpdateBatch, haar_derota
 from oracles import (
     allocating_qsgd,
     allocating_segments,
+    empirical_covariance,
     rotate_everything_mbtc,
     rotation_reference,
     stacked_quantize_rotated,
@@ -406,6 +407,22 @@ class TestMbtcAggregate:
         model, q = solves.call_args.args
         assert res.predicted_distortion == distortion(model, q) > 0.0
 
+    @pytest.mark.parametrize("updates, message", [
+        (np.zeros((0, 5)), "at least one device and one coordinate"),
+        (np.zeros((3, 0)), "at least one device and one coordinate"),
+        ([np.ones(4), np.ones(3), np.ones(4)], "all vectors must share one length"),
+    ], ids=["no-device", "no-coordinate", "ragged"])
+    def test_direct_call_checks_its_stack(self, updates, message):
+        # A direct call reads its batch through _stack, as the aggregator does.
+        # These failed three different ways: in numpy's max, in three
+        # RuntimeWarnings and then "matrix has non-finite entries", and in
+        # the batch's own stacking.
+        batch = DeviceUpdateBatch(updates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                mbtc_aggregate(batch, np.ones(len(updates)), RateBudget(np.full(len(updates), 2.0)), 1)
+
     def test_empirical_tracks_predicted(self):
         rho, M, N = 0.8, 4, 2**15
         y = np.stack(synthetic_sources(rho, M, N, seed=6))
@@ -463,7 +480,7 @@ class TestMbtcAggregate:
         c = np.full(M, 1.0 / M)
         res = mbtc_aggregate(batch, c, RateBudget(np.full(M, 2.0)), seed=4)
         model = GaussianSourceModel(
-            sigma_x=validate_psd(empirical_covariance(y - batch.means[:, None])), c=c
+            sigma_x=validate_psd(empirical_covariance(y - y.mean(axis=1, keepdims=True))), c=c
         )
         expected = [
             sum_mutual_info(model, res.q) if M == 1 else cond_mutual_info(model, res.q, [m])
@@ -477,7 +494,7 @@ class TestMbtcAggregate:
         y = np.stack(synthetic_sources(0.6, 5, 1024, seed=13))
         batch = DeviceUpdateBatch(updates=y)
         budget = RateBudget(np.array([2.0, 1.0, 2.0, 3.0, 1.0]))
-        sym, group = _fit_symmetric(empirical_covariance(y - batch.means[:, None]), budget.r)
+        sym, group = _fit_symmetric(empirical_covariance(y - y.mean(axis=1, keepdims=True)), budget.r)
         assert sym.groups == ((2, 2.0), (2, 1.0), (1, 3.0))
         assert group.tolist() == [0, 1, 0, 2, 1]
         q = mbtc_aggregate(batch, np.full(5, 0.2), budget).q.q
@@ -617,6 +634,31 @@ class TestSmallBlocks:
                 assert np.array_equal(qsgd_quantize(v, s, seed + m)[0], allocating_qsgd(v, s, alone))
             assert np.array_equal(qsgd_aggregator(s)(zeroed, c, seed)[0], total)
 
+    @settings(max_examples=80)
+    @given(
+        M=st.integers(1, 40),
+        n=st.just(1) | st.integers(1, 300) | st.integers(1025, 1300),
+        s=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(M=8, n=1, s=3, seed=0)
+    @example(M=40, n=1, s=1, seed=1)
+    def test_target_and_qsgd_are_the_per_row_loop(self, M, n, s, seed):
+        # Both add their weighted rows one at a time from 0, bit for bit, for
+        # stacks that cross row blocks and for one-column stacks of 8 rows or
+        # more, which np.add.reduce would sum pairwise.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((M, n)) * 10.0 ** rng.integers(-3, 4, (M, 1))
+        c = rng.uniform(-1.0, 1.0, M)
+        dither = np.random.default_rng(seed_stream(seed, "qsgd")).random((M, n))
+        target, quantized = np.zeros(n), np.zeros(n)
+        for c_m, v, u in zip(c, x, dither):
+            target += c_m * v
+            quantized += c_m * allocating_qsgd(v, s, u)
+        with mock.patch.object(transform, "BLOCK_ELEMENTS", 64):
+            assert baseline_aggregate(x, c).tobytes() == target.tobytes()
+            assert qsgd_aggregator(s)(x, c, seed)[0].tobytes() == quantized.tobytes()
+
     @settings(max_examples=30)
     @given(
         M=st.integers(1, 6),
@@ -683,6 +725,18 @@ class TestSweep:
         with mock.patch.object(simulate, "synthetic_sources", no_work):
             with pytest.raises(ValueError, match="rates must be positive and finite"):
                 sweep_distortion((0.5,), (1.0, rate), 3, 64, 1, ("mbtc", "qsgd", "uniform"))
+
+    @pytest.mark.parametrize("rhos, rates, schemes", [
+        ((0.5,), (), ("mbtc",)), ((), (1.0,), ("mbtc",)), ((0.5,), (1.0,), ()),
+    ], ids=["no-rate", "no-rho", "no-scheme"])
+    def test_rejects_an_empty_list_before_drawing_sources(self, rhos, rates, schemes):
+        # An empty list returned no rows, and the CLI wrote a header-only CSV.
+        def no_work(*args, **kwargs):
+            raise AssertionError("sources drawn before the lists were checked")
+
+        with mock.patch.object(simulate, "synthetic_sources", no_work):
+            with pytest.raises(ValueError, match="a sweep needs a rho, a rate and a scheme"):
+                sweep_distortion(rhos, rates, 3, 64, 1, schemes)
 
     @pytest.mark.parametrize("scheme, message", [
         ("uniform", r"bits_per_element must be in \[1, 1024\)"),
